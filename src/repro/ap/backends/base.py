@@ -20,9 +20,9 @@ Three backends ship with the library:
 * ``batched`` (:class:`~repro.ap.backends.batched.BatchedBackend`) - the
   vectorized semantics plus a layer-level *wave* entry point
   (:func:`~repro.ap.backends.batched.execute_program_wave`): all (image, row
-  tile) instances of one layer are stacked into a single bit tensor and the
+  tile) instances of one layer are stacked as packed nanowire words and the
   shared instruction stream is evaluated once across the whole wave, with
-  per-instance counters charged from one batched truth-tensor histogram.
+  per-instance counters replayed from per-instruction fire words.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Mega-kernel batched backend: one NumPy dispatch per instruction across a
-whole layer's (images x tiles) wave.
+whole layer's (images x tiles) wave, on packed nanowire words.
 
 The :class:`~repro.ap.backends.vectorized.VectorizedBackend` removed the
 per-*bit* interpretation cost but still executes one ``(image, tile)`` AP at a
@@ -7,45 +7,58 @@ time, so a layer of ``N`` images times ``T`` row tiles pays ``N x T`` Python
 instruction loops.  Those instances are perfectly homogeneous: every row tile
 of one channel group shares the *same* compiled slice programs, only the
 activation rows differ.  This module exploits that: it stacks the instances
-into one ``(instances, rows, columns, domains)`` bit tensor and evaluates the
-shared instruction stream once, so each AP instruction becomes a single batch
-of NumPy kernel calls for the whole wave - the mega-kernel.
+and evaluates the shared instruction stream once, so each AP instruction
+becomes a single batch of NumPy kernel calls for the whole wave - the
+mega-kernel.
+
+The wave state mirrors the hardware's word-parallel, bit-serial layout: each
+column of each row is one RTM nanowire of up to 64 domains, held as one
+``uint64`` word (bit ``d`` is domain ``d``) in a ``(columns, instances,
+rows)`` tensor.  A technology with more than 64 domains per nanowire
+declines the wave.
 
 Equivalence contract (same as every backend, see :mod:`repro.ap.backends.base`):
 
-* **Results** are computed exactly like the vectorized backend - operands are
-  packed to int64 words, carries come from ``A ^ B ^ (A op B)`` - just with a
-  leading instance axis.
-* **CAMStats** are charged analytically from the per-LUT truth tensors.  The
-  data-independent counters (search phases/bits, loaded/read bits) are shared
-  scalars; the data-dependent ones (write phases/bits, shift steps) are
-  per-instance ``(instances,)`` accumulators fed by one batched histogram
-  (``np.bincount`` over the ``(carry, B, A)`` states of every instance, bit
-  and row at once), so every instance's counters come out byte-identical to a
-  standalone run on the reference interpreter.
-* **Port positions** evolve per instance: data-independent alignment runs are
-  broadcast, while the data-dependent out-of-place destination alignment
-  (which spans only the first..last fired bit) is applied per instance under
-  a fired mask.
+* **Results.**  A region read is a shift and an arithmetic shift back: the
+  sign extension replays the region's MSB exactly like
+  ``ColumnRegion.bit_position`` does for the controller.  Arithmetic is
+  ``b + a`` / ``b - a`` on the sign-extended words, the carry (borrow) into
+  every bit position falls out of ``carries = a ^ b ^ result``, and writes
+  are masked merges into the destination words.  The carry column is never
+  read inside a wave (lowering declines programs that would read it), so it
+  is not stored.
+* **CAMStats.**  In each of the four Table-I LUTs every pass matches exactly
+  one initial ``(carry, b, a)`` state and each state fires at most one pass
+  (checked when a program is lowered; a LUT without that property declines).
+  So one minterm word per pass, ``(carry ^ kc) & (b ^ kb) & (a ^ ka)``, marks
+  the bits whose rows that pass writes.  Per instruction the hot loop records
+  only the OR over rows of each pass word (the *fire words*) and the number of
+  matched bits (``np.bitwise_count``).  After each chunk, one replay derives
+  ``write_phases`` and ``written_bits`` from those records, and replays the
+  alignment events of the whole program sequence for ``lockstep_shift_steps``
+  (``track_shifts`` is always ``lockstep x rows``).  Source, carry, copy and
+  clear runs are data-independent and precomputed per program; an
+  out-of-place destination run spans the first to the last set bit of its
+  instruction's fire words, and is skipped where nothing fired.  Every
+  instance's counters come out byte-identical to a standalone run on the
+  reference interpreter.
 
-Operand input takes two forms.  The legacy form is one ``{name: row vector}``
-dict per (instance, program), gathered and validated per instance.  The
-wave-native form is :class:`StagedWaveInputs`: the host stages each operand
-as one ``(instances, rows)`` integer batch - or, on the packed fast path, as
-``(instances, rows, width)`` bit planes unpacked once per layer via
-:mod:`repro.ap.backends.packing` - so loads slice views of one staged tensor
-instead of copying rows per instance, and the plane form skips the
-per-payload unpack entirely.  Both forms produce byte-identical results and
-counters.
+Operand input takes two forms: one ``{name: row vector}`` dict per
+(instance, program), gathered and validated per instance, or
+:class:`StagedWaveInputs`, where the host stages each operand as one
+``(instances, rows)`` integer batch (views of one lowered tensor per layer).
+Both forms produce byte-identical results and counters.
 
 The wave entry point :func:`execute_program_wave` is conservative: any
 program shape the vectorized backend would route to its interpreter fallback
-(operands on the carry column, aliasing destinations, >60-bit words), or any
-malformed input batch, returns ``None`` so the caller can fall back to
-per-instance dispatch - where the ordinary backends raise the proper errors.
-:func:`wave_staging_plan` lets the host pre-flight (and pre-lower) a tile's
-programs at deploy time, so serving requests never pay the lowering cost and
-the host knows the operand widths to stage.
+(operands on the carry column, aliasing destinations, >60-bit words), any
+geometry the word layout cannot hold, or any malformed input batch returns
+``None`` so the caller can fall back to per-instance dispatch - where the
+ordinary backends raise the proper errors.  Every such decline goes through
+:func:`_decline` (a debug log line plus a ``backend.wave_decline`` trace
+instant).  :func:`wave_staging_plan` lets the host pre-flight (and
+pre-lower) a tile's programs at deploy time, so serving requests never pay
+the lowering cost.
 
 :class:`BatchedBackend` itself subclasses the vectorized backend, so
 ``backend="batched"`` behaves identically to ``"vectorized"`` for ordinary
@@ -57,19 +70,19 @@ uses to hand it whole layers via :meth:`Executor.map_layer
 
 from __future__ import annotations
 
+import functools
+from array import array
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro import telemetry
 from repro.ap.backends.vectorized import (
     _MAX_VECTOR_WIDTH,
     VectorizedBackend,
-    _cached_lut,
     lut_truth_matrix,
 )
-from repro import telemetry
-from repro.ap.backends.packing import bit_shifts as _bit_shifts, pow2 as _pow2
-from repro.ap.isa import APInstruction, APOpcode, APProgram, ColumnRegion
+from repro.ap.isa import APOpcode, APProgram, ColumnRegion
 from repro.cam.stats import CAMStats
 from repro.rtm.timing import DEFAULT_RTM_TECHNOLOGY, RTMTechnology
 from repro.telemetry.logs import get_logger
@@ -77,15 +90,15 @@ from repro.utils.bitops import max_signed_value, min_signed_value
 
 logger = get_logger(__name__)
 
-#: Soft cap on the stacked bit tensor of one wave chunk; instances beyond it
+#: Bits of one nanowire word; technologies with more domains decline.
+_WORD_BITS = 64
+
+#: Soft cap on one wave chunk's words and temporaries; instances beyond it
 #: are processed in equivalence-preserving chunks (instances are independent).
 _MAX_WAVE_STATE_BYTES = 256 * 1024 * 1024
 
-#: Cached word dtype, shift and packing vectors per width for the arithmetic
-#: kernel.  Words up to 30 bits fit int32 with their carry bit, halving the
-#: memory traffic of the packed-value temporaries; the integer results are
-#: bit-identical below bit 31, so the choice never changes an outcome.
-_ARITH_CACHE: Dict[int, Tuple[type, np.ndarray, np.ndarray]] = {}
+#: Most passes of any Table-I LUT: the width of one instruction's fire record.
+_MAX_PASSES = 5
 
 #: Static per-opcode facts (enum property calls are too slow for the lowering
 #: hot loop: a full-width resnet18 plan lowers ~500k instructions).
@@ -93,31 +106,6 @@ _OPCODE_META: Dict[APOpcode, Tuple[bool, bool, Optional[str]]] = {
     opcode: (opcode.is_arithmetic, opcode.is_inplace, opcode.lut_kind)
     for opcode in APOpcode
 }
-
-#: Cached (truth, fired_by_state, num_passes) per (lut_kind, inplace).
-_ARITH_META_CACHE: Dict[Tuple[str, bool], Tuple[np.ndarray, np.ndarray, int]] = {}
-
-
-def _arith_dtype(width: int) -> Tuple[type, np.ndarray, np.ndarray]:
-    entry = _ARITH_CACHE.get(width)
-    if entry is None:
-        dtype = np.int32 if width < 31 else np.int64
-        shifts = _bit_shifts(width).astype(dtype)
-        entry = _ARITH_CACHE[width] = (dtype, shifts, np.ones(1, dtype) << shifts)
-    return entry
-
-
-def _arith_meta(kind: str, inplace: bool) -> Tuple[np.ndarray, np.ndarray, int]:
-    key = (kind, inplace)
-    meta = _ARITH_META_CACHE.get(key)
-    if meta is None:
-        truth = lut_truth_matrix(kind, inplace)
-        meta = _ARITH_META_CACHE[key] = (
-            truth,
-            truth.any(axis=1),
-            len(_cached_lut(kind, inplace).entries),
-        )
-    return meta
 
 
 class BatchedBackend(VectorizedBackend):
@@ -131,236 +119,435 @@ class BatchedBackend(VectorizedBackend):
 
 
 # ----------------------------------------------------------------------
+# Per-LUT pass metadata (one instance per LUT kind, shared by every op)
+# ----------------------------------------------------------------------
+class _LutWords:
+    """The minterm form of one Table-I LUT.
+
+    ``flip_c/flip_b/flip_a`` are ``(passes, 1, 1)`` int64 masks: ``-1``
+    where the pass searches a 0 bit (the literal is complemented), ``0``
+    where it searches a 1 bit.  ``x ^ flip`` is then the literal, and the
+    AND of the three literals is the pass's minterm word.
+    """
+
+    __slots__ = ("add", "passes", "flip_c", "flip_b", "flip_a")
+
+    def __init__(self, add: bool, states: np.ndarray) -> None:
+        self.add = add
+        self.passes = len(states)
+        shape = (self.passes, 1, 1)
+        self.flip_c = (((states >> 2) & 1) - 1).reshape(shape)
+        self.flip_b = (((states >> 1) & 1) - 1).reshape(shape)
+        self.flip_a = ((states & 1) - 1).reshape(shape)
+
+
+_LUT_WORDS: Dict[Tuple[str, bool], Optional[_LutWords]] = {}
+
+
+def _lut_words(kind: str, inplace: bool) -> Optional[_LutWords]:
+    """The minterm form of a LUT, or ``None`` when it has no such form.
+
+    The form exists when every pass matches exactly one initial ``(carry, b,
+    a)`` state and each state fires at most one pass (the truth tensor is a
+    partial permutation); then a pass fires exactly on its state's bits.
+    """
+    key = (kind, inplace)
+    if key not in _LUT_WORDS:
+        truth = lut_truth_matrix(kind, inplace)
+        if (truth.sum(axis=0) == 1).all() and (truth.sum(axis=1) <= 1).all():
+            words: Optional[_LutWords] = _LutWords(
+                kind == "add", truth.argmax(axis=0).astype(np.int64)
+            )
+        else:
+            words = None
+        _LUT_WORDS[key] = words
+    return _LUT_WORDS[key]
+
+
+# ----------------------------------------------------------------------
 # Wave compilation: APProgram -> flat descriptors the mega-kernel can run
 # ----------------------------------------------------------------------
-class _Region:
-    """Flattened :class:`~repro.ap.isa.ColumnRegion` (plain ints)."""
+@functools.lru_cache(maxsize=None)
+def _mask(width: int) -> np.int64:
+    """The low ``width`` bits set."""
+    return np.int64((1 << width) - 1)
 
-    __slots__ = ("column", "width", "offset")
 
-    def __init__(self, column: int, width: int, offset: int) -> None:
+@functools.lru_cache(maxsize=None)
+def _keep(offset: int, width: int) -> np.uint64:
+    """Word mask keeping every domain outside ``[offset, offset + width)``."""
+    return np.uint64(~(((1 << width) - 1) << offset) & (2**_WORD_BITS - 1))
+
+
+class _Read:
+    """Sign-extended read of one region: ``(word << left) >> right`` (signed)."""
+
+    __slots__ = ("column", "left", "right")
+
+    def __init__(self, column: int, offset: int, width: int) -> None:
         self.column = column
-        self.width = width
-        self.offset = offset
-
-    def bit_position(self, bit: int) -> int:
-        return self.offset + min(bit, self.width - 1)
+        self.left = np.uint64(_WORD_BITS - offset - width)
+        self.right = np.int64(_WORD_BITS - width)
 
 
-def _region(region: ColumnRegion) -> _Region:
-    return _Region(region.column, region.width, region.domain_offset)
+class _Target:
+    """Masked merge of ``width`` result bits into one destination word.
+
+    ``keep`` clears the destination's own domains first.  A ``narrow`` extra
+    destination (region narrower than the instruction) is only pre-zeroed
+    over its own width: above it, rows whose state fires no pass keep their
+    stale bits, so the fire word is cleared out of the word as well.
+    """
+
+    __slots__ = ("column", "keep", "shift", "narrow")
+
+    def __init__(self, column: int, offset: int, cleared: int, narrow: bool) -> None:
+        self.column = column
+        self.keep = _keep(offset, cleared)
+        self.shift = np.uint64(offset)
+        self.narrow = narrow
+
+
+# Descriptors are immutable, so ops of every program share one per region.
+_read_spec = functools.lru_cache(maxsize=None)(_Read)
+_target = functools.lru_cache(maxsize=None)(_Target)
+
+
+@functools.lru_cache(maxsize=None)
+def _targets(*targets: _Target) -> Tuple[_Target, ...]:
+    """One shared tuple per destination set."""
+    return targets
+
+
+def _region_read(region: ColumnRegion) -> _Read:
+    return _read_spec(region.column, region.domain_offset, region.width)
 
 
 class _ArithOp:
-    __slots__ = (
-        "lut_kind",
-        "inplace",
-        "width",
-        "src_a",
-        "src_b",
-        "dest",
-        "extras",
-        "truth",
-        "fired_by_state",
-        "num_passes",
-        "written_columns",
-    )
+    __slots__ = ("lut", "a", "b", "mask", "targets", "narrow", "slot")
 
-    def __init__(
-        self,
-        lut_kind: str,
-        inplace: bool,
-        width: int,
-        src_a: _Region,
-        src_b: _Region,
-        dest: _Region,
-        extras: Tuple[_Region, ...],
-        truth: np.ndarray,
-        fired_by_state: np.ndarray,
-        num_passes: int,
-        written_columns: int,
-    ) -> None:
-        self.lut_kind = lut_kind
-        self.inplace = inplace
-        self.width = width
-        self.src_a = src_a
-        self.src_b = src_b
-        self.dest = dest
-        self.extras = extras
-        self.truth = truth
-        self.fired_by_state = fired_by_state
-        self.num_passes = num_passes
-        self.written_columns = written_columns
+    def __init__(self, lut, a, b, mask, targets, narrow, slot) -> None:
+        self.lut = lut
+        self.a = a
+        self.b = b
+        self.mask = mask
+        self.targets = targets
+        self.narrow = narrow
+        self.slot = slot
 
 
 class _CopyOp:
-    __slots__ = ("width", "src", "dests")
+    __slots__ = ("src", "mask", "targets", "slot")
 
-    def __init__(self, width: int, src: _Region, dests: Tuple[_Region, ...]) -> None:
-        self.width = width
+    def __init__(self, src, mask, targets, slot) -> None:
         self.src = src
-        self.dests = dests
+        self.mask = mask
+        self.targets = targets
+        self.slot = slot
 
 
 class _ClearOp:
-    __slots__ = ("dests",)
+    __slots__ = ("targets",)
 
-    def __init__(self, dests: Tuple[_Region, ...]) -> None:
-        self.dests = dests
+    def __init__(self, targets) -> None:
+        self.targets = targets
+
+
+class _ReadGroup:
+    """Outputs of one program that share ``(offset, width)``: one gather."""
+
+    __slots__ = ("read", "columns", "slots", "negated")
+
+    def __init__(
+        self,
+        offset: int,
+        width: int,
+        columns: Tuple[int, ...],
+        slots: Tuple[int, ...],
+        negated: Tuple[bool, ...],
+    ) -> None:
+        self.read = _read_spec(columns[0], offset, width)
+        self.columns = np.array(columns, dtype=np.intp)
+        self.slots = (
+            slice(slots[0], slots[-1] + 1)
+            if slots == tuple(range(slots[0], slots[-1] + 1))
+            else np.array(slots, dtype=np.intp)
+        )
+        self.negated = np.flatnonzero(negated) if any(negated) else None
+
+
+_read_group = functools.lru_cache(maxsize=None)(_ReadGroup)
 
 
 class _CompiledWaveProgram:
     """One program lowered to wave descriptors (valid for a geometry).
 
-    ``reads_sorted``/``read_names`` fix the output slot order (names sorted
-    within the program) once at lowering time, and ``read_batch`` holds the
-    fancy-index column gather for the common case where every output region
-    shares one (offset, width) - so a whole program's outputs are packed with
-    one matrix product instead of one readout call per name.
+    Besides the op list it holds the program's data-independent accounting
+    from :class:`_Lowering`: the alignment events, the per-slot width masks
+    and written-column counts, and the static counter totals.  ``read_names``
+    fixes the output slot order (names sorted within the program) and
+    ``read_groups`` batches the readout by ``(offset, width)``.
+    ``replay_plans`` memoises the :class:`_ReplayPlan` of every program
+    sequence this program starts.
     """
 
-    __slots__ = ("loads", "ops", "reads", "reads_sorted", "read_names", "read_batch")
+    __slots__ = (
+        "loads",
+        "ops",
+        "read_names",
+        "read_groups",
+        "slots",
+        "slot_widths",
+        "slot_columns",
+        "copy_slots",
+        "events",
+        "search_phases",
+        "searched_per_row",
+        "write_phases",
+        "written_per_row",
+        "loaded_per_row",
+        "read_per_row",
+        "replay_plans",
+    )
 
-    def __init__(
-        self,
-        loads: Tuple[Tuple[str, _Region], ...],
-        ops: Tuple[object, ...],
-        reads: Tuple[Tuple[str, _Region, bool], ...],
-    ) -> None:
-        self.loads = loads
-        self.ops = ops
-        self.reads = reads
-        self.reads_sorted = tuple(sorted(reads, key=lambda entry: entry[0]))
-        self.read_names = tuple(name for name, _, _ in self.reads_sorted)
-        self.read_batch = None
-        if self.reads_sorted:
-            first = self.reads_sorted[0][1]
-            offset, width = first.offset, first.width
-            if all(
-                region.offset == offset and region.width == width
-                for _, region, _ in self.reads_sorted
-            ):
-                self.read_batch = (
-                    np.array(
-                        [region.column for _, region, _ in self.reads_sorted],
-                        dtype=np.intp,
-                    ),
-                    offset,
-                    width,
-                    np.array(
-                        [
-                            index
-                            for index, (_, _, negated) in enumerate(self.reads_sorted)
-                            if negated
-                        ],
-                        dtype=np.intp,
-                    ),
-                )
+    def __init__(self, program: APProgram, lowering: "_Lowering") -> None:
+        loads = []
+        self.loaded_per_row = 0
+        for name, region in program.input_columns.items():
+            width = region.width
+            target = _target(region.column, region.domain_offset, width, False)
+            loads.append((name, target, width))
+            self.loaded_per_row += width
+        self.loads = tuple(loads)
+        self.ops = tuple(lowering.ops)
+        outputs = program.output_columns
+        negated = program.output_negated
+        self.read_names = tuple(sorted(outputs))
+        self.read_per_row = 0
+        # (offset, width) -> (columns, slots, negated) of the group's outputs.
+        grouped: Dict[Tuple[int, int], Tuple[list, list, list]] = {}
+        for slot, name in enumerate(self.read_names):
+            region = outputs[name]
+            width = region.width
+            self.read_per_row += width
+            members = grouped.get((region.domain_offset, width))
+            if members is None:
+                members = grouped[region.domain_offset, width] = ([], [], [])
+            members[0].append(region.column)
+            members[1].append(slot)
+            members[2].append(bool(negated.get(name, False)))
+        self.read_groups = tuple(
+            _read_group(offset, width, tuple(columns), tuple(slots), tuple(signs))
+            for (offset, width), (columns, slots, signs) in grouped.items()
+        )
+        self.slots = len(lowering.slot_widths)
+        self.slot_widths = lowering.slot_widths
+        self.slot_columns = lowering.slot_columns
+        self.copy_slots = lowering.copy_slots
+        self.events = lowering.events
+        self.search_phases = lowering.search_phases
+        self.searched_per_row = lowering.searched_per_row
+        self.write_phases = lowering.write_phases
+        self.written_per_row = lowering.written_per_row
+        self.replay_plans: Dict[tuple, _ReplayPlan] = {}
 
 
 def _region_fits(region: ColumnRegion, columns: int, domains: int) -> bool:
     return region.column < columns and region.end_domain <= domains
 
 
-def _compile_instruction(
-    instruction: APInstruction, carry_column: int, columns: int, domains: int
-):
-    """Lower one instruction to a wave descriptor, or ``None`` if it needs
-    the per-instance path (any vectorized-fallback shape or geometry the
-    per-instance backends would reject with a proper error)."""
-    is_arith, inplace, lut_kind = _OPCODE_META[instruction.opcode]
-    if is_arith:
+class _Lowering:
+    """Accumulates one program's ops, fire slots, events and counters."""
+
+    def __init__(self, carry: int, columns: int, domains: int) -> None:
+        self.carry = carry
+        self.columns = columns
+        self.domains = domains
+        self.ops: List[object] = []
+        self.slot_widths = array("i")
+        self.slot_columns: List[int] = []
+        self.copy_slots: List[int] = []
+        #: Flat ``column, first, last, slot`` quadruples in program order
+        #: (packed ints, not one tuple per event: less memory, fewer objects
+        #: for the garbage collector to traverse).
+        self.events = array("i")
+        self.search_phases = 0
+        self.searched_per_row = 0
+        self.write_phases = 0
+        self.written_per_row = 0
+
+    def _slot(self, width: int, written_columns: int) -> int:
+        self.slot_widths.append(width)
+        self.slot_columns.append(written_columns)
+        return len(self.slot_widths) - 1
+
+    def _source_run(self, region: ColumnRegion, width: int) -> Optional[tuple]:
+        """The data-independent alignment run of a source over bits
+        ``0..width-1`` (MSB replayed past the region), or ``None`` when the
+        region is out of bounds."""
+        column, offset, region_width = region.column, region.domain_offset, region.width
+        if (
+            column >= self.columns
+            or region_width > _MAX_VECTOR_WIDTH
+            or offset + region_width > self.domains
+        ):
+            return None
+        return (column, offset, offset + min(width, region_width) - 1, -1)
+
+    def _fits(self, region: ColumnRegion, width: int) -> bool:
+        return (
+            region.column < self.columns
+            and region.domain_offset + width <= self.domains
+        )
+
+    def instruction(self, instruction) -> bool:
+        """Lower one instruction; ``False`` if it needs the per-instance path
+        (any vectorized-fallback shape or geometry the per-instance backends
+        would reject with a proper error)."""
+        is_arith, inplace, lut_kind = _OPCODE_META[instruction.opcode]
+        if is_arith:
+            return self._arith(instruction, inplace, lut_kind)
+        if instruction.opcode is APOpcode.COPY:
+            return self._copy(instruction)
+        if instruction.opcode is APOpcode.CLEAR:
+            return self._clear(instruction)
+        return False  # pragma: no cover - enum is closed
+
+    def _arith(self, instruction, inplace: bool, lut_kind: str) -> bool:
         src_a, src_b = instruction.src_a, instruction.src_b
         dest = instruction.dest
         if src_a is None or src_b is None:
-            return None
-        a_col, b_col = src_a.column, src_b.column
-        if a_col == b_col:
-            return None
-        if lut_kind == "add" and inplace and dest == src_a:
+            return False
+        if inplace and lut_kind == "add" and dest == src_a:
             src_a, src_b = src_b, src_a
-            a_col, b_col = b_col, a_col
+        a_col, b_col = src_a.column, src_b.column
+        carry = self.carry
+        width = dest.width
         extra_dests = instruction.extra_dests
-        if inplace and (dest != src_b or extra_dests):
-            return None
-        dest_col = dest.column
-        if not inplace and (dest_col == a_col or dest_col == b_col):
-            return None
-        width = instruction.width
-        if width > _MAX_VECTOR_WIDTH:
-            return None
-        all_dests = instruction.all_dests
-        seen_columns = set()
-        for index, region in enumerate(all_dests):
-            column = region.column
-            if (
-                column == carry_column
-                or column in seen_columns
-                or (index > 0 and (column == a_col or column == b_col))
-                or column >= columns
-                or region.width > _MAX_VECTOR_WIDTH
-                or region.domain_offset + region.width > domains
-            ):
-                return None
-            seen_columns.add(column)
-        if carry_column == a_col or carry_column == b_col:
-            return None
-        for region in (src_a, src_b):
-            if (
-                region.width > _MAX_VECTOR_WIDTH
-                or region.column >= columns
-                or region.domain_offset + region.width > domains
-            ):
-                return None
-        # Narrow extra destinations are blended over ``width`` raw bits.
-        for extra in extra_dests:
-            if extra.domain_offset + width > domains:
-                return None
-        truth, fired_by_state, num_passes = _arith_meta(lut_kind, inplace)
-        return _ArithOp(
-            lut_kind=lut_kind,
-            inplace=inplace,
-            width=width,
-            src_a=_region(src_a),
-            src_b=_region(src_b),
-            dest=_region(dest),
-            extras=tuple(_region(extra) for extra in extra_dests),
-            truth=truth,
-            fired_by_state=fired_by_state,
-            num_passes=num_passes,
-            written_columns=2 if inplace else 2 + len(extra_dests),
+        if (
+            a_col == b_col
+            or carry == a_col
+            or carry == b_col
+            or width > _MAX_VECTOR_WIDTH
+        ):
+            return False
+        run_b = self._source_run(src_b, width)
+        run_a = self._source_run(src_a, width)
+        lut = _lut_words(lut_kind, inplace)
+        if run_a is None or run_b is None or lut is None:
+            return False
+        # Carry-clearing write: one tagged write phase over every row, with
+        # the carry port aligned to domain 0 (searches then stay there).
+        events = (carry, 0, 0, -1) + run_b + run_a
+        slot = len(self.slot_widths)
+        if inplace:
+            if dest != src_b or extra_dests:
+                return False
+            targets = _targets(_target(b_col, src_b.domain_offset, width, False))
+            narrow = False
+        else:
+            seen_columns = {a_col, b_col, carry}
+            targets_list = []
+            narrow = False
+            for region in instruction.all_dests:
+                column, offset = region.column, region.domain_offset
+                region_width = region.width
+                # Narrow extra destinations are blended over ``width`` bits.
+                if (
+                    column in seen_columns
+                    or column >= self.columns
+                    or region_width > _MAX_VECTOR_WIDTH
+                    or offset + max(region_width, width) > self.domains
+                ):
+                    return False
+                seen_columns.add(column)
+                narrow_dest = region_width < width
+                narrow = narrow or narrow_dest
+                targets_list.append(_target(column, offset, region_width, narrow_dest))
+                events += (column, offset, offset, slot)
+            targets = _targets(*targets_list)
+        self.events.extend(events)
+        self._slot(width, 2 if inplace else 2 + len(extra_dests))
+        self.ops.append(
+            _ArithOp(
+                lut,
+                _region_read(src_a),
+                _region_read(src_b),
+                _mask(width),
+                targets,
+                narrow,
+                slot,
+            )
         )
-    if instruction.opcode is APOpcode.COPY:
+        self.write_phases += 1
+        self.written_per_row += 1
+        self.search_phases += width * lut.passes
+        self.searched_per_row += 3 * width * lut.passes
+        return True
+
+    def _copy(self, instruction) -> bool:
         src = instruction.src_a
         if src is None:
-            return None
+            return False
         width = instruction.width
-        if width > _MAX_VECTOR_WIDTH or src.width > _MAX_VECTOR_WIDTH:
-            return None
-        if src.column >= columns or src.domain_offset + src.width > domains:
-            return None
+        if width > _MAX_VECTOR_WIDTH or src.column == self.carry:
+            return False
         dests = instruction.all_dests
-        src_col = src.column
-        seen_columns = set()
+        seen_columns = {src.column}
         # Every destination receives ``width`` bits at its own offset.
         for region in dests:
             column = region.column
-            if (
-                column == src_col
-                or column in seen_columns
-                or column >= columns
-                or region.domain_offset + width > domains
-            ):
-                return None
+            if column in seen_columns or not self._fits(region, width):
+                return False
             seen_columns.add(column)
-        return _CopyOp(width=width, src=_region(src), dests=tuple(map(_region, dests)))
-    if instruction.opcode is APOpcode.CLEAR:
+        run = self._source_run(src, width)
+        if run is None:
+            return False
+        self.events.extend(run)
+        slot = self._slot(width, 0)
+        self.copy_slots.append(slot)
+        self.ops.append(
+            _CopyOp(
+                _region_read(src),
+                _mask(width),
+                _targets(
+                    *(
+                        _target(region.column, region.domain_offset, width, False)
+                        for region in dests
+                    )
+                ),
+                slot,
+            )
+        )
+        self.search_phases += 2 * width
+        self.searched_per_row += 2 * width
+        self.written_per_row += width * len(dests)
+        for region in dests:
+            offset = region.domain_offset
+            self.events.extend((region.column, offset, offset + width - 1, -1))
+        return True
+
+    def _clear(self, instruction) -> bool:
         dests = instruction.all_dests
         for region in dests:
-            if region.column >= columns or region.domain_offset + region.width > domains:
-                return None
-        return _ClearOp(dests=tuple(map(_region, dests)))
-    return None  # pragma: no cover - enum is closed
+            if not _region_fits(region, self.columns, self.domains):
+                return False
+        self.ops.append(
+            _ClearOp(
+                tuple(
+                    (region.column, _keep(region.domain_offset, region.width))
+                    for region in dests
+                )
+            )
+        )
+        for region in dests:
+            offset = region.domain_offset
+            self.events.extend(
+                (region.column, offset, offset + region.width - 1, -1)
+            )
+            self.write_phases += region.width
+            self.written_per_row += region.width
+        return True
 
 
 def compile_program_wave(
@@ -388,38 +575,35 @@ def _compile_program_wave(
     program: APProgram, columns: int, domains: int
 ) -> Optional[_CompiledWaveProgram]:
     carry = program.carry_column
-    if not (0 <= carry < columns) or domains < 1:
+    if not (0 <= carry < columns) or not (1 <= domains <= _WORD_BITS):
         logger.debug(
             "wave lowering declined: carry/geometry (carry=%d columns=%d domains=%d)",
             carry, columns, domains,
         )
         return None
-    bindings = list(program.input_columns.items()) + list(
-        program.output_columns.items()
-    )
-    if not all(_region_fits(region, columns, domains) for _, region in bindings):
-        logger.debug("wave lowering declined: operand binding outside geometry")
+    for bindings in (program.input_columns, program.output_columns):
+        for region in bindings.values():
+            width = region.width
+            if (
+                region.column >= columns
+                or region.domain_offset + width > domains
+                or width > _MAX_VECTOR_WIDTH
+            ):
+                logger.debug("wave lowering declined: operand binding outside geometry")
+                return None
+    if any(region.column == carry for region in program.output_columns.values()):
+        logger.debug("wave lowering declined: output bound to the carry column")
         return None
-    ops: List[object] = []
+    lowering = _Lowering(carry, columns, domains)
     for instruction in program.instructions:
-        op = _compile_instruction(instruction, carry, columns, domains)
-        if op is None:
+        if not lowering.instruction(instruction):
             logger.debug(
                 "wave lowering declined: instruction %s needs per-instance path",
                 instruction.opcode.name,
             )
             return None
-        ops.append(op)
-    return _CompiledWaveProgram(
-        loads=tuple(
-            (name, _region(region)) for name, region in program.input_columns.items()
-        ),
-        ops=tuple(ops),
-        reads=tuple(
-            (name, _region(region), bool(program.output_negated.get(name, False)))
-            for name, region in program.output_columns.items()
-        ),
-    )
+
+    return _CompiledWaveProgram(program, lowering)
 
 
 # ----------------------------------------------------------------------
@@ -428,39 +612,26 @@ def _compile_program_wave(
 class StagedWaveInputs:
     """Operand batches staged by the host for one wave group.
 
-    Exactly one of ``values``/``planes`` is given, each one entry per
-    program:
+    ``values[j][name]`` is one ``(instances, rows)`` integer batch per
+    program ``j`` and operand name: every instance's operand rows as views
+    (or one vectorized gather) of the layer's staged operand tensor.
 
-    * ``values[j][name]`` - ``(instances, rows)`` integer batch: every
-      instance's operand rows as views (or one vectorized gather) of the
-      layer's staged operand tensor.
-    * ``planes[j][name]`` - ``(instances, rows, width)`` uint8 bit planes,
-      pre-unpacked once per layer (see
-      :func:`repro.ap.backends.packing.unpack_bits`): the wave's loads copy
-      planes straight into the stacked state tensor, skipping the
-      per-payload unpack.  ``width`` must equal the load region's width
-      (pre-flight via :func:`wave_staging_plan`).
-
-    Byte-identical to the legacy per-instance dict form by construction:
-    the staged arrays hold exactly the rows each instance's payload dict
-    would have carried.
+    Byte-identical to the per-instance dict form by construction: the staged
+    arrays hold exactly the rows each instance's payload dict would have
+    carried.
     """
 
-    __slots__ = ("instances", "rows", "values", "planes")
+    __slots__ = ("instances", "rows", "values")
 
     def __init__(
         self,
         instances: int,
         rows: int,
-        values: Optional[Sequence[Mapping[str, np.ndarray]]] = None,
-        planes: Optional[Sequence[Mapping[str, np.ndarray]]] = None,
+        values: Sequence[Mapping[str, np.ndarray]],
     ) -> None:
-        if (values is None) == (planes is None):
-            raise ValueError("StagedWaveInputs takes exactly one of values/planes")
         self.instances = instances
         self.rows = rows
         self.values = values
-        self.planes = planes
 
     def __len__(self) -> int:
         return self.instances
@@ -471,301 +642,246 @@ def wave_staging_plan(
     columns: int,
     technology: Optional[RTMTechnology] = None,
     carry_column: int = 0,
-) -> Optional[Tuple[List[Dict[str, int]], Optional[int]]]:
+) -> Optional[List[Dict[str, int]]]:
     """Pre-flight one tile's programs for host-staged wave execution.
 
     Lowers every program for the wave geometry (memoised - calling this at
     deploy time moves the whole lowering cost out of the serving window) and
-    returns ``(load_widths, uniform_width)``: per program the operand name ->
-    region width map the host must stage, plus the single shared width when
-    every load agrees (the packed bit-plane fast path).  Returns ``None``
-    when any program would decline wave execution, so the caller can route
-    the layer to the legacy per-payload path up front.
+    returns, per program, the operand name -> region width map the host
+    stages.  Returns ``None`` when any program would decline wave execution,
+    so the caller can route the layer to the per-payload path up front.
     """
     technology = technology or DEFAULT_RTM_TECHNOLOGY
     domains = technology.domains_per_nanowire
-    if columns < 1:
+    if columns < 1 or domains > _WORD_BITS:
         return None
     load_widths: List[Dict[str, int]] = []
-    widths_seen: set = set()
     for program in programs:
         if program.carry_column != carry_column:
             return None
         lowered = compile_program_wave(program, columns, domains)
         if lowered is None:
             return None
-        widths = {name: region.width for name, region in lowered.loads}
-        widths_seen.update(widths.values())
-        load_widths.append(widths)
-    uniform = widths_seen.pop() if len(widths_seen) == 1 else None
-    return load_widths, uniform
+        load_widths.append({name: width for name, _, width in lowered.loads})
+    return load_widths
 
 
 # ----------------------------------------------------------------------
-# The mega-kernel: batched instruction evaluation over stacked instances
+# The mega-kernel: batched instruction evaluation over packed words
 # ----------------------------------------------------------------------
-class _WaveEngine:
-    """State of one wave chunk: ``instances`` APs evaluated in lockstep.
+def _read(state: np.ndarray, read: _Read) -> np.ndarray:
+    """Sign-extended int64 value of a region per (instance, row)."""
+    words = state[read.column]
+    if read.left:
+        words = words << read.left
+    return words.view(np.int64) >> read.right
 
-    Mirrors one :class:`~repro.cam.array.CAMArray` per instance - a stacked
-    ``(instances, rows, columns, domains)`` bit tensor plus per-instance port
-    positions and event counters - with every instruction evaluated across
-    all instances at once.
+
+def _merge(state: np.ndarray, target: _Target, bits: np.ndarray) -> None:
+    """Write ``bits`` (masked, non-negative int64) into a destination word."""
+    word = state[target.column]
+    word &= target.keep
+    bits = bits.view(np.uint64)
+    if target.shift:
+        bits = bits << target.shift
+    word |= bits
+
+
+def _run_ops(
+    state: np.ndarray, ops: Sequence[object], fires: np.ndarray, counts: np.ndarray
+) -> None:
+    """Evaluate one program's ops on every instance of the chunk.
+
+    ``fires[slot]`` receives one ``(passes, instances)`` fire record per
+    arithmetic op (the OR over rows of each pass word) and, per copy, the
+    OR and AND over rows of the copied word; ``counts[slot]`` the matched
+    bits of an arithmetic op per instance.  Everything else a counter needs
+    is static (see :func:`_replay`).
+    """
+    bitwise_or_reduce = np.bitwise_or.reduce
+    add_reduce = np.add.reduce
+    for op in ops:
+        kind = op.__class__
+        if kind is _ArithOp:
+            lut = op.lut
+            a = _read(state, op.a)
+            b = _read(state, op.b)
+            result = b + a if lut.add else b - a
+            carries = a ^ b
+            carries ^= result
+            # One minterm word per pass: the bits whose (carry, b, a) state
+            # that pass matches, masked to the instruction width.
+            minterms = carries ^ lut.flip_c
+            minterms &= b ^ lut.flip_b
+            minterms &= a ^ lut.flip_a
+            minterms &= op.mask
+            bitwise_or_reduce(minterms, axis=2, out=fires[op.slot, : lut.passes])
+            add_reduce(
+                np.bitwise_count(minterms), axis=(0, 2), dtype=np.int64,
+                out=counts[op.slot],
+            )
+            result &= op.mask
+            if op.narrow:
+                fired = bitwise_or_reduce(minterms, axis=0).view(np.uint64)
+            for target in op.targets:
+                if target.narrow:
+                    word = state[target.column]
+                    word &= ~(fired << target.shift)
+                _merge(state, target, result)
+        elif kind is _CopyOp:
+            value = _read(state, op.src)
+            bitwise_or_reduce(value, axis=1, out=fires[op.slot, 0])
+            np.bitwise_and.reduce(value, axis=1, out=fires[op.slot, 1])
+            value &= op.mask
+            for target in op.targets:
+                _merge(state, target, value)
+        else:
+            for column, keep in op.targets:
+                word = state[column]
+                word &= keep
+
+
+class _ReplayPlan:
+    """Data-independent accounting of one program sequence.
+
+    Concatenates the programs' fire slots and alignment events, and splits
+    the events by column: a column without data-dependent runs has the same
+    shift steps on every instance (summed once here), the others are
+    replayed per instance by :func:`_replay`.
     """
 
-    def __init__(
-        self, instances: int, rows: int, columns: int, domains: int, carry: int
-    ) -> None:
-        self.instances = instances
-        self.rows = rows
-        self.carry = carry
-        self.state = np.zeros((instances, rows, columns, domains), dtype=np.uint8)
-        self.ports = np.zeros((instances, columns), dtype=np.int64)
-        self.write_phases = np.zeros(instances, dtype=np.int64)
-        self.written_bits = np.zeros(instances, dtype=np.int64)
-        self.lockstep = np.zeros(instances, dtype=np.int64)
-        self.track = np.zeros(instances, dtype=np.int64)
-        # Data-independent counters are identical across instances.
-        self.search_phases = 0
-        self.searched_bits = 0
-        self.read_bits = 0
-        self.loaded_bits = 0
-        self._hist_offsets: Dict[int, np.ndarray] = {}
+    def __init__(self, compiled: Sequence[_CompiledWaveProgram]) -> None:
+        self.slot_bases: List[int] = []
+        slot_widths: List[int] = []
+        slot_columns: List[int] = []
+        copy_slots: List[int] = []
+        tables = [np.zeros((0, 4), dtype=np.int64)]
+        for lowered in compiled:
+            base = len(slot_widths)
+            self.slot_bases.append(base)
+            slot_widths += lowered.slot_widths
+            slot_columns += lowered.slot_columns
+            copy_slots += [base + slot for slot in lowered.copy_slots]
+            table = np.frombuffer(lowered.events, dtype=np.intc).reshape(-1, 4)
+            table = table.astype(np.int64)
+            # Program-local fire slots become wave slots (static runs keep -1).
+            table[table[:, 3] >= 0, 3] += base
+            tables.append(table)
+        self.slots = len(slot_widths)
+        self.slot_masks = (np.int64(1) << np.array(slot_widths, dtype=np.int64)) - 1
+        self.slot_columns = np.array(slot_columns, dtype=np.int64)
+        self.copy_slots = np.array(copy_slots, dtype=np.intp)
+        self.search_phases = sum(p.search_phases for p in compiled)
+        self.searched_per_row = sum(p.searched_per_row for p in compiled)
+        self.write_phases = sum(p.write_phases for p in compiled)
+        self.written_per_row = sum(p.written_per_row for p in compiled)
+        self.loaded_per_row = sum(p.loaded_per_row for p in compiled)
+        self.read_per_row = sum(p.read_per_row for p in compiled)
 
-    # -- alignment accounting ------------------------------------------
-    def align_run(self, column: int, first: int, last: int) -> None:
-        """Broadcast equivalent of :meth:`CAMArray.align_run` (shared run)."""
-        steps = np.abs(first - self.ports[:, column]) + (last - first)
-        self.lockstep += steps
-        self.track += steps * self.rows
-        self.ports[:, column] = last
-
-    def align_pair(
-        self,
-        column_a: int,
-        first_a: int,
-        last_a: int,
-        column_b: int,
-        first_b: int,
-        last_b: int,
-    ) -> None:
-        """Two broadcast alignment runs fused into one accounting pass.
-
-        Same counters as two :meth:`align_run` calls (integer addition
-        commutes); one fused step vector halves the NumPy dispatches on the
-        arithmetic hot path, which issues this once per instruction.
-        """
-        ports = self.ports
-        steps = (
-            np.abs(first_a - ports[:, column_a])
-            + (last_a - first_a)
-            + np.abs(first_b - ports[:, column_b])
-            + (last_b - first_b)
+        table = np.concatenate(tables)
+        mixed = np.isin(table[:, 0], table[table[:, 3] >= 0, 0])
+        static = _sorted_events(table[~mixed])
+        # Every run of a static column is active on every instance.
+        self.static_steps = int(
+            _steps(
+                static[:, 1:2],
+                static[:, 2:3],
+                np.ones((len(static), 1), dtype=bool),
+                static[:, 4],
+            ).sum()
         )
-        self.lockstep += steps
-        self.track += steps * self.rows
-        ports[:, column_a] = last_a
-        ports[:, column_b] = last_b
+        self.events = _sorted_events(table[mixed])
+        self.dynamic = np.flatnonzero(self.events[:, 3] >= 0)
+        self.dynamic_slots = self.events[self.dynamic, 3]
 
-    def align_run_masked(
-        self, column: int, first: np.ndarray, last: np.ndarray, mask: np.ndarray
-    ) -> None:
-        """Per-instance alignment run, applied only where ``mask`` holds."""
-        if mask.all():
-            # Dense activations fire every instance; skip the masked blend.
-            steps = np.abs(first - self.ports[:, column]) + (last - first)
-            self.lockstep += steps
-            self.track += steps * self.rows
-            self.ports[:, column] = last
-            return
-        steps = np.where(mask, np.abs(first - self.ports[:, column]) + (last - first), 0)
-        self.lockstep += steps
-        self.track += steps * self.rows
-        self.ports[mask, column] = last[mask]
 
-    # -- operand access -------------------------------------------------
-    def read_planes(self, region: _Region, width: int) -> np.ndarray:
-        """Region bit planes sign-extended to ``width`` bits (no events)."""
-        block = self.state[:, :, region.column, region.offset : region.offset + region.width]
-        if width <= region.width:
-            return block[:, :, :width]
-        # Clamped gather replays the MSB, like ColumnRegion.bit_position.
-        columns = np.minimum(_bit_shifts(width), region.width - 1)
-        return block[:, :, columns]
+def _replay_plan(compiled: Sequence[_CompiledWaveProgram]) -> _ReplayPlan:
+    """The :class:`_ReplayPlan` of a program sequence, memoised on its first
+    program (a tile runs the same sequence on every request)."""
+    if not compiled:
+        return _ReplayPlan(compiled)
+    key = tuple(compiled)
+    plans = compiled[0].replay_plans
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = _ReplayPlan(compiled)
+    return plan
 
-    def write_planes(self, column: int, offset: int, planes: np.ndarray) -> None:
-        self.state[:, :, column, offset : offset + planes.shape[-1]] = planes
 
-    def hist_offsets(self, width: int) -> np.ndarray:
-        """Flattened-histogram bin offsets: instance stride plus bit stride."""
-        offsets = self._hist_offsets.get(width)
-        if offsets is None:
-            base = (np.arange(self.instances, dtype=np.int64) * (8 * width)).reshape(
-                self.instances, 1, 1
-            )
-            offsets = base + 8 * _bit_shifts(width)
-            self._hist_offsets[width] = offsets
-        return offsets
+def _sorted_events(events: np.ndarray) -> np.ndarray:
+    """Events grouped by column (program order kept within a column), with
+    a fifth field: the index of the first event of the event's column."""
+    order = np.argsort(events[:, 0], kind="stable")
+    events = events[order]
+    starts = np.ones(len(events), dtype=bool)
+    starts[1:] = events[1:, 0] != events[:-1, 0]
+    first = np.maximum.accumulate(np.where(starts, np.arange(len(events)), 0))
+    return np.column_stack([events, first])
 
-    # -- instruction kernels --------------------------------------------
-    def run_arith(self, op: _ArithOp) -> None:
-        width = op.width
-        dtype, shifts, pow2 = _arith_dtype(width)
-        if not op.inplace:
-            for region in (op.dest,) + op.extras:
-                self.state[
-                    :, :, region.column, region.offset : region.offset + region.width
-                ] = 0
-        # Carry-clearing write (align to domain 0, one tagged write phase).
-        carry_steps = np.abs(self.ports[:, self.carry])
-        self.lockstep += carry_steps
-        self.track += carry_steps * self.rows
-        self.ports[:, self.carry] = 0
-        self.write_phases += 1
-        self.written_bits += self.rows
-        self.state[:, :, self.carry, 0] = 0
 
-        a_planes = self.read_planes(op.src_a, width)
-        b_planes = self.read_planes(op.src_b, width)
-        a_values = a_planes.astype(dtype) @ pow2
-        b_values = b_planes.astype(dtype) @ pow2
-        if op.lut_kind == "add":
-            results = a_values + b_values
-        else:
-            results = b_values - a_values
-        carries = a_values ^ b_values ^ results
+def _steps(
+    first: np.ndarray, last: np.ndarray, active: np.ndarray, column_start: np.ndarray
+) -> np.ndarray:
+    """Shift steps of column-grouped alignment runs, per (event, instance).
 
-        # Build the 3-bit (carry, b, a) state codes in uint8 to keep the big
-        # temporaries byte-sized; the bincount add upcasts to int64 in one pass.
-        states = ((carries[:, :, None] >> shifts) & 1).astype(np.uint8)
-        states <<= 1
-        states |= b_planes
-        states <<= 1
-        states |= a_planes
-        histogram = np.bincount(
-            (states + self.hist_offsets(width)).ravel(),
-            minlength=self.instances * 8 * width,
-        ).reshape(self.instances, width, 8)
-        match_counts = histogram @ op.truth  # (instances, width, passes)
-        fired = match_counts > 0
+    Each active run costs ``|first - port| + (last - first)`` and leaves the
+    port at ``last``, like :meth:`CAMArray.align_run`; the port before a run
+    is the ``last`` of the column's previous active run, or domain 0 on a
+    fresh AP.
+    """
+    events = len(first)
+    latest = np.where(active, np.arange(events)[:, None], -1)
+    np.maximum.accumulate(latest, axis=0, out=latest)
+    port = np.zeros(latest.shape, dtype=np.int64)
+    previous = latest[:-1]
+    port[1:] = np.where(
+        previous >= column_start[1:, None],
+        np.take_along_axis(last, np.maximum(previous, 0), axis=0),
+        0,
+    )
+    steps = np.abs(first - port)
+    steps += last
+    steps -= first
+    steps *= active
+    return steps
 
-        self.search_phases += width * op.num_passes
-        self.searched_bits += width * op.num_passes * 3 * self.rows
-        self.write_phases += fired.sum(axis=(1, 2))
-        self.written_bits += match_counts.sum(axis=(1, 2)) * op.written_columns
 
-        src_a, src_b = op.src_a, op.src_b
-        self.align_pair(
-            src_b.column,
-            src_b.bit_position(0),
-            src_b.bit_position(width - 1),
-            src_a.column,
-            src_a.bit_position(0),
-            src_a.bit_position(width - 1),
-        )
-        if not op.inplace:
-            any_fired = fired.any(axis=2)  # (instances, width)
-            has_fired = any_fired.any(axis=1)
-            first = any_fired.argmax(axis=1)
-            last = width - 1 - any_fired[:, ::-1].argmax(axis=1)
-            for region in (op.dest,) + op.extras:
-                self.align_run_masked(
-                    region.column, region.offset + first, region.offset + last, has_fired
-                )
-
-        result_region = op.src_b if op.inplace else op.dest
-        # int64 0/1 planes; assignment into the uint8 state casts losslessly.
-        result_planes = (results[:, :, None] >> shifts) & 1
-        self.write_planes(result_region.column, result_region.offset, result_planes)
-        for extra in op.extras:
-            if extra.width >= width:
-                self.write_planes(extra.column, extra.offset, result_planes)
-            else:
-                # Only extra.width bits were pre-zeroed: above them, rows
-                # whose state fires no pass keep their stale contents.
-                old = self.state[
-                    :, :, extra.column, extra.offset : extra.offset + width
-                ]
-                self.write_planes(
-                    extra.column,
-                    extra.offset,
-                    np.where(op.fired_by_state[states], result_planes, old),
-                )
-        self.state[:, :, self.carry, 0] = (carries >> dtype(width)) & 1
-
-    def run_copy(self, op: _CopyOp) -> None:
-        width = op.width
-        planes = self.read_planes(op.src, width)
-        ones = planes.sum(axis=1, dtype=np.int64)  # (instances, width)
-        zeros = self.rows - ones
-
-        self.search_phases += 2 * width
-        self.searched_bits += 2 * width * self.rows
-        self.write_phases += (ones > 0).sum(axis=1) + (zeros > 0).sum(axis=1)
-        self.written_bits += width * self.rows * len(op.dests)
-
-        self.align_run(
-            op.src.column, op.src.bit_position(0), op.src.bit_position(width - 1)
-        )
-        for dest in op.dests:
-            self.align_run(dest.column, dest.offset, dest.offset + width - 1)
-        for dest in op.dests:
-            self.write_planes(dest.column, dest.offset, planes)
-
-    def run_clear(self, op: _ClearOp) -> None:
-        for dest in op.dests:
-            self.align_run(dest.column, dest.offset, dest.offset + dest.width - 1)
-            self.write_phases += dest.width
-            self.written_bits += dest.width * self.rows
-            self.state[:, :, dest.column, dest.offset : dest.offset + dest.width] = 0
-
-    def run_op(self, op: object) -> None:
-        if isinstance(op, _ArithOp):
-            self.run_arith(op)
-        elif isinstance(op, _CopyOp):
-            self.run_copy(op)
-        else:
-            self.run_clear(op)
-
-    # -- program-level surfaces -----------------------------------------
-    def load(self, region: _Region, values: np.ndarray) -> None:
-        """Place a ``(instances, rows)`` operand batch (input placement)."""
-        planes = (values[:, :, None] >> _bit_shifts(region.width)) & np.int64(1)
-        self.write_planes(region.column, region.offset, planes)
-        self.loaded_bits += self.rows * region.width
-
-    def load_planes(self, region: _Region, planes: np.ndarray) -> None:
-        """Plane-form :meth:`load`: pre-unpacked ``(instances, rows, width)``.
-
-        Same state content and ``loaded_bits`` accounting as :meth:`load` on
-        the packed values - the host already unpacked the layer's codes once
-        (see :func:`repro.ap.backends.packing.unpack_bits`), so the wave
-        skips the per-load unpack entirely.
-        """
-        self.write_planes(region.column, region.offset, planes)
-        self.loaded_bits += self.rows * region.width
-
-    def read(self, region: _Region) -> np.ndarray:
-        """Signed ``(instances, rows)`` readout of a region (port readout)."""
-        planes = self.state[
-            :, :, region.column, region.offset : region.offset + region.width
-        ].astype(np.int64)
-        raw = planes @ _pow2(region.width)
-        values = raw - (planes[:, :, region.width - 1] << np.int64(region.width))
-        self.read_bits += self.rows * region.width
-        return values
-
-    def stats_for(self, instance: int) -> CAMStats:
-        return CAMStats(
-            search_phases=self.search_phases,
-            searched_bits=self.searched_bits,
-            write_phases=int(self.write_phases[instance]),
-            written_bits=int(self.written_bits[instance]),
-            lockstep_shift_steps=int(self.lockstep[instance]),
-            track_shifts=int(self.track[instance]),
-            read_bits=self.read_bits,
-            loaded_bits=self.loaded_bits,
-        )
+def _replay(
+    plan: _ReplayPlan, fires: np.ndarray, counts: np.ndarray, rows: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-instance ``(write_phases, written_bits, lockstep_shift_steps)``."""
+    copies = plan.copy_slots
+    if copies.size:
+        # A copy writes the 0 bits where some row holds a 0: NOT of the AND.
+        fires[copies, 1] = ~fires[copies, 1]
+    fires &= plan.slot_masks[:, None, None]
+    write_phases = plan.write_phases + np.bitwise_count(fires).sum(
+        axis=(0, 1), dtype=np.int64
+    )
+    written_bits = plan.written_per_row * rows + plan.slot_columns @ counts
+    lockstep = np.full(fires.shape[2], plan.static_steps, dtype=np.int64)
+    events = plan.events
+    if len(events):
+        instances = fires.shape[2]
+        first = np.empty((len(events), instances), dtype=np.int64)
+        first[:] = events[:, 1:2]
+        last = np.empty_like(first)
+        last[:] = events[:, 2:3]
+        active = np.ones(first.shape, dtype=bool)
+        dynamic = plan.dynamic
+        if dynamic.size:
+            fired = np.bitwise_or.reduce(fires[plan.dynamic_slots], axis=1)
+            # Lowest set bit: popcount below it; highest: smear it downwards.
+            low = np.bitwise_count((fired & -fired) - 1).astype(np.int64)
+            smeared = fired.copy()
+            for shift in (1, 2, 4, 8, 16, 32):
+                smeared |= smeared >> shift
+            high = np.bitwise_count(smeared).astype(np.int64) - 1
+            first[dynamic] += low
+            last[dynamic] += high
+            active[dynamic] = fired != 0
+        lockstep += _steps(first, last, active, events[:, 4]).sum(axis=0)
+    return write_phases, written_bits, lockstep
 
 
 #: One instance's wave outcome: counters, per-program output dicts, checksum,
@@ -790,9 +906,18 @@ def _decline(reason: str, **detail: object) -> None:
     telemetry.instant("backend.wave_decline", category="device", reason=reason, **detail)
 
 
+def _fits_signed(values: np.ndarray, width: int) -> bool:
+    """Whether every value fits a signed ``width``-bit word."""
+    return int(np.minimum.reduce(values, axis=None, initial=0)) >= min_signed_value(
+        width
+    ) and int(np.maximum.reduce(values, axis=None, initial=0)) <= max_signed_value(
+        width
+    )
+
+
 def _gather_load(
     name: str,
-    region: _Region,
+    width: int,
     program_index: int,
     inputs_per_instance: Sequence[Sequence[Mapping[str, Sequence[int]]]],
     rows: int,
@@ -804,12 +929,7 @@ def _gather_load(
         if values.shape != (rows,) or values.dtype.kind not in "iu":
             return None
         stacked[index] = values
-    if (
-        int(stacked.min(initial=0)) < min_signed_value(region.width)
-        or int(stacked.max(initial=0)) > max_signed_value(region.width)
-    ):
-        return None
-    return stacked
+    return stacked if _fits_signed(stacked, width) else None
 
 
 def _validate_staged(
@@ -817,40 +937,30 @@ def _validate_staged(
 ) -> bool:
     """Shape/range-check staged operand batches (once, before chunking).
 
-    The same acceptance decision the legacy per-instance gather makes: any
-    missing name, wrong shape/dtype or out-of-range value declines the wave,
-    so the caller falls back to per-instance dispatch where the ordinary
-    backends raise their proper errors.
+    The same acceptance decision the per-instance gather makes: any missing
+    name, wrong shape/dtype or out-of-range value declines the wave, so the
+    caller falls back to per-instance dispatch where the ordinary backends
+    raise their proper errors.
     """
-    entries = staged.planes if staged.planes is not None else staged.values
+    entries = staged.values
     if len(entries) != len(compiled):
         _decline("malformed-inputs", programs=len(compiled))
         return False
     total = staged.instances
     for program_index, lowered in enumerate(compiled):
         provided = entries[program_index]
-        for name, region in lowered.loads:
+        for name, _, width in lowered.loads:
             batch = provided.get(name)
             if batch is None:
                 _decline("missing-input", program=program_index)
                 return False
-            if staged.planes is not None:
-                if (
-                    batch.shape != (total, rows, region.width)
-                    or batch.dtype != np.uint8
-                ):
-                    _decline("invalid-input", name=name, program=program_index)
-                    return False
-            else:
-                if batch.shape != (total, rows) or batch.dtype.kind not in "iu":
-                    _decline("invalid-input", name=name, program=program_index)
-                    return False
-                if (
-                    int(batch.min(initial=0)) < min_signed_value(region.width)
-                    or int(batch.max(initial=0)) > max_signed_value(region.width)
-                ):
-                    _decline("invalid-input", name=name, program=program_index)
-                    return False
+            if (
+                batch.shape != (total, rows)
+                or batch.dtype.kind not in "iu"
+                or not _fits_signed(batch, width)
+            ):
+                _decline("invalid-input", name=name, program=program_index)
+                return False
     return True
 
 
@@ -867,12 +977,13 @@ def execute_program_wave(
     Every instance models a fresh ``rows x columns`` AP running ``programs``
     back to back on its own input set (the exact contract of a pooled or
     fresh-worker AP executing one tile).  ``inputs_per_instance`` is either
-    the legacy one-dict-per-(instance, program) form or a host-staged
+    the one-dict-per-(instance, program) form or a host-staged
     :class:`StagedWaveInputs` batch.  Returns one ``(CAMStats, outputs,
-    checksum)`` triple per instance - byte-identical to running each instance
-    alone on any registered backend - or ``None`` when the wave cannot take
-    the batched path (unsupported instruction shapes, geometry, or malformed
-    inputs), in which case the caller must fall back to per-instance dispatch.
+    checksum, stacked outputs)`` tuple per instance - byte-identical to
+    running each instance alone on any registered backend - or ``None`` when
+    the wave cannot take the batched path (unsupported instruction shapes,
+    geometry, or malformed inputs), in which case the caller must fall back
+    to per-instance dispatch.
     """
     technology = technology or DEFAULT_RTM_TECHNOLOGY
     domains = technology.domains_per_nanowire
@@ -882,8 +993,8 @@ def execute_program_wave(
     )
     if total == 0:
         return []
-    if rows < 1 or columns < 1:
-        _decline("geometry", rows=rows, columns=columns)
+    if rows < 1 or columns < 1 or domains > _WORD_BITS:
+        _decline("geometry", rows=rows, columns=columns, domains=domains)
         return None
     if staged and inputs_per_instance.rows != rows:
         _decline("geometry", rows=rows, staged_rows=inputs_per_instance.rows)
@@ -913,15 +1024,20 @@ def execute_program_wave(
         for program_index, lowered in enumerate(compiled):
             for instance_inputs in inputs_per_instance:
                 provided = instance_inputs[program_index]
-                if any(name not in provided for name, _ in lowered.loads):
+                if any(name not in provided for name, _, _ in lowered.loads):
                     _decline("missing-input", program=program_index)
                     return None
 
-    # Chunk the wave so the stacked bit tensor and the per-instance output
+    plan = _replay_plan(compiled)
+    # Chunk the wave so the words, the minterm temporaries and the output
     # matrix stay bounded; instances are independent, so chunked and
     # unchunked execution are byte-identical.
-    total_outputs = sum(len(lowered.reads) for lowered in compiled)
-    per_instance_bytes = max(1, rows * columns * domains + 8 * rows * total_outputs)
+    total_outputs = sum(len(lowered.read_names) for lowered in compiled)
+    per_instance_bytes = 8 * (
+        rows * (columns + 3 * _MAX_PASSES + total_outputs)
+        + plan.slots * (_MAX_PASSES + 1)
+        + 6 * len(plan.events)
+    )
     chunk = max(1, min(total, _MAX_WAVE_STATE_BYTES // per_instance_bytes))
     results: List[WaveResult] = []
     with telemetry.span(
@@ -938,7 +1054,7 @@ def execute_program_wave(
             else:
                 instances = inputs_per_instance[start : start + chunk]
             chunk_results = _execute_wave_chunk(
-                compiled, instances, rows, columns, domains, carry_column
+                compiled, plan, instances, rows, columns
             )
             if chunk_results is None:
                 return None
@@ -946,13 +1062,19 @@ def execute_program_wave(
     return results
 
 
+def _load(state: np.ndarray, target: _Target, width: int, values) -> None:
+    """Place a ``(instances, rows)`` operand batch (input placement)."""
+    bits = values.astype(np.int64)
+    bits &= _mask(width)
+    _merge(state, target, bits)
+
+
 def _execute_wave_chunk(
     compiled: Sequence[_CompiledWaveProgram],
+    plan: _ReplayPlan,
     inputs_per_instance,
     rows: int,
     columns: int,
-    domains: int,
-    carry_column: int,
 ) -> Optional[List[WaveResult]]:
     staged = isinstance(inputs_per_instance, tuple)
     if staged:
@@ -960,87 +1082,93 @@ def _execute_wave_chunk(
         instances = chunk_stop - chunk_start
     else:
         instances = len(inputs_per_instance)
-    engine = _WaveEngine(instances, rows, columns, domains, carry_column)
-    total_outputs = sum(len(lowered.reads) for lowered in compiled)
+    state = np.zeros((columns, instances, rows), dtype=np.uint64)
+    fires = np.zeros((plan.slots, _MAX_PASSES, instances), dtype=np.int64)
+    counts = np.zeros((plan.slots, instances), dtype=np.int64)
     # All instances' outputs in one matrix: slot order is (program order,
     # names sorted within each program), so ``stacked[instance]`` is exactly
     # the per-payload partial-sum matrix the inference reduction consumes.
-    stacked = np.empty((instances, total_outputs, rows), dtype=np.int64)
+    stacked = np.empty(
+        (instances, sum(len(p.read_names) for p in compiled), rows), dtype=np.int64
+    )
     slot = 0
     for program_index, lowered in enumerate(compiled):
         # Loading operands into the wave state is host work (the payload
         # fan-out), not CAM arithmetic: charge it to the ``host.stage``
-        # ledger so the host/device split prices the staged-view path
-        # against the legacy per-instance gather honestly.
+        # ledger so the host/device split prices it honestly.
         if staged:
             with telemetry.span("host.stage", category="host", mode="wave-load"):
-                if staged_inputs.planes is not None:
-                    provided = staged_inputs.planes[program_index]
-                    for name, region in lowered.loads:
-                        engine.load_planes(
-                            region, provided[name][chunk_start:chunk_stop]
-                        )
-                else:
-                    provided = staged_inputs.values[program_index]
-                    for name, region in lowered.loads:
-                        engine.load(
-                            region, provided[name][chunk_start:chunk_stop]
-                        )
+                provided = staged_inputs.values[program_index]
+                for name, target, width in lowered.loads:
+                    _load(
+                        state, target, width, provided[name][chunk_start:chunk_stop]
+                    )
         else:
             with telemetry.span("host.stage", category="host", mode="gather"):
-                for name, region in lowered.loads:
+                for name, target, width in lowered.loads:
                     gathered = _gather_load(
-                        name, region, program_index, inputs_per_instance, rows
+                        name, width, program_index, inputs_per_instance, rows
                     )
                     if gathered is None:
-                        _decline(
-                            "invalid-input", name=name, program=program_index
-                        )
+                        _decline("invalid-input", name=name, program=program_index)
                         return None
-                    engine.load(region, gathered)
-        for op in lowered.ops:
-            engine.run_op(op)
-        read_batch = lowered.read_batch
-        if read_batch is not None:
-            # Batched readout: one fancy gather + one matrix product packs
-            # every output region of the program (all share offset/width).
-            read_columns, offset, width, negated = read_batch
-            count = len(read_columns)
-            block = engine.state[
-                :, :, read_columns, offset : offset + width
-            ].astype(np.int64)
-            values = block @ _pow2(width)  # (instances, rows, count)
-            values -= block[:, :, :, width - 1] << np.int64(width)
-            if negated.size:
-                values[:, :, negated] = -values[:, :, negated]
-            engine.read_bits += count * rows * width
-            stacked[:, slot : slot + count] = values.transpose(0, 2, 1)
-            slot += count
-        else:
-            for name, region, negated in lowered.reads_sorted:
-                values = engine.read(region)
-                if negated:
-                    np.negative(values, out=stacked[:, slot])
-                else:
-                    stacked[:, slot] = values
-                slot += 1
+                    _load(state, target, width, gathered)
+        base = plan.slot_bases[program_index]
+        _run_ops(
+            state,
+            lowered.ops,
+            fires[base : base + lowered.slots],
+            counts[base : base + lowered.slots],
+        )
+        for group in lowered.read_groups:
+            # One gather reads every output of the group: (outputs,
+            # instances, rows) -> (instances, outputs, rows).
+            words = state[group.columns]
+            if group.read.left:
+                words <<= group.read.left
+            values = words.view(np.int64)
+            values >>= group.read.right
+            if group.negated is not None:
+                values[group.negated] = -values[group.negated]
+            slots = group.slots
+            if isinstance(slots, slice):
+                slots = slice(slot + slots.start, slot + slots.stop)
+            else:
+                slots = slots + slot
+            stacked[:, slots] = values.transpose(1, 0, 2)
+        slot += len(lowered.read_names)
+
+    write_phases, written_bits, lockstep = _replay(plan, fires, counts, rows)
+    search_phases = plan.search_phases
+    searched_bits = plan.searched_per_row * rows
+    read_bits = plan.read_per_row * rows
+    loaded_bits = plan.loaded_per_row * rows
     # int64 addition is associative modulo 2**64, so the batched row sums
-    # equal each instance's own ``values.sum()`` bit for bit.
-    totals = stacked.sum(axis=2).tolist()  # Python ints: exact checksum fold
+    # equal each instance's own ``values.sum()`` bit for bit; the checksum
+    # folds them as Python ints, exactly like a per-instance run.
+    totals = stacked.sum(axis=2).tolist()
     results: List[WaveResult] = []
-    for instance in range(instances):
+    for instance, (phases, bits, steps) in enumerate(
+        zip(write_phases.tolist(), written_bits.tolist(), lockstep.tolist())
+    ):
         instance_rows = stacked[instance]
-        instance_totals = totals[instance]
+        rows_list = list(instance_rows)
         outputs_list: List[Dict[str, np.ndarray]] = []
-        checksum = 0
         position = 0
         for lowered in compiled:
             names = lowered.read_names
             end = position + len(names)
-            checksum += sum(instance_totals[position:end])
-            outputs_list.append(dict(zip(names, instance_rows[position:end])))
+            outputs_list.append(dict(zip(names, rows_list[position:end])))
             position = end
-        results.append(
-            (engine.stats_for(instance), outputs_list, checksum, instance_rows)
+        stats = CAMStats(
+            search_phases=search_phases,
+            searched_bits=searched_bits,
+            write_phases=phases,
+            written_bits=bits,
+            lockstep_shift_steps=steps,
+            track_shifts=steps * rows,
+            read_bits=read_bits,
+            loaded_bits=loaded_bits,
         )
+        results.append((stats, outputs_list, sum(totals[instance]), instance_rows))
     return results

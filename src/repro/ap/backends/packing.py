@@ -1,11 +1,10 @@
 """Shared bit pack/unpack helpers for the AP execution backends.
 
-Every NumPy backend converts between two operand representations: signed
-integer *words* (what programs load and read) and *bit planes* (the CAM's
-native ``0/1`` cells, least-significant bit first).  The vectorized and
-batched backends - and, since the wave-native host dataflow, the inference
-engine's operand staging - all need the same conversions, so they live here
-once:
+Conversions between two operand representations: signed integer *words*
+(what programs load and read) and *bit planes* (the CAM's ``0/1`` cells,
+least-significant bit first).  The vectorized backend takes its shift
+vectors from here and the bit-plane host lowering
+(:func:`repro.inference.activations.lower_batch_planes`) its unpack:
 
 * :func:`bit_shifts` / :func:`pow2` - cached per-width shift and ``2**k``
   vectors (the packing bases).
@@ -14,12 +13,10 @@ once:
   bit above their magnitude, exactly like writing the word into CAM cells
   bit by bit.
 * :func:`pack_planes` - bit planes back to sign-extended words (one matrix
-  product plus a sign correction), the fast path of every region readout.
+  product plus a sign correction).
 
-Keeping activations in the plane form between the host quantizer and the
-CAM write is what lets :func:`~repro.ap.backends.batched.execute_program_wave`
-skip the per-payload unpack: the host unpacks each layer's codes once, the
-wave's loads then copy planes straight into the stacked state tensor.
+The batched backend's wave engine needs none of them: it keeps every
+nanowire as one packed ``uint64`` word (see :mod:`repro.ap.backends.batched`).
 """
 
 from __future__ import annotations

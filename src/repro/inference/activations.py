@@ -18,14 +18,13 @@ the per-layer buffers:
   operands of a convolution: the per-channel im2col layout of
   :mod:`repro.nn.im2col` (``(Cin, Fh*Fw, Hout*Wout)``), whose last axis is
   the CAM row dimension sliced per row tile.
-* :func:`lower_batch_planes` is the wave-native composition of the two hot
-  host passes: the whole batch's codes are unpacked to CAM bit planes once
-  (:func:`repro.ap.backends.packing.unpack_bits`) and im2col-lowered in the
-  packed form, so the ``(images x tiles)`` payload fan-out slices *views* of
-  one staged plane tensor and the batched backend's loads skip the
-  per-payload unpack entirely.
-* :class:`HostArena` keeps those staging buffers alive across layers (and
-  runs) so the steady-state host dataflow allocates nothing per layer.
+* :func:`lower_batch_rows` lowers the whole batch at once; the inference
+  engine stages every wave operand as a view of its result.
+* :func:`lower_batch_planes` is the same lowering in the bit-plane form (one
+  uint8 cell per CAM bit, via :func:`repro.ap.backends.packing.unpack_bits`),
+  with :class:`HostArena` to reuse its staging buffers.  The batched
+  backend's packed-word wave loads integer codes directly, so the engine no
+  longer calls it.
 * :class:`ActivationStore` owns the per-layer activation buffers of a
   :class:`~repro.inference.dataflow.DataflowGraph` and meters the activation
   bits that enter each layer (the interconnect hand-off traffic).
@@ -231,11 +230,7 @@ def lower_batch_planes(
     ``result[n, c, :, k, p]`` holds exactly the bits a CAM load of
     ``lower_batch_rows(codes)[n, c, k, p]`` would write (zero padding
     unpacks to zero planes, and im2col only copies values, so unpack and
-    lowering commute bit for bit).  Downstream, every ``(image, tile)``
-    payload slices views of this one tensor and
-    :func:`~repro.ap.backends.batched.execute_program_wave` copies the
-    planes directly into the stacked CAM state - no per-payload gather, no
-    per-load unpack.
+    lowering commute bit for bit).
 
     Returns:
         uint8 array of shape ``(N, Cin, width, Fh*Fw, Hout*Wout)``.

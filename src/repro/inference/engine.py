@@ -65,7 +65,6 @@ from repro.errors import (
 )
 from repro.inference.activations import (
     ActivationStore,
-    HostArena,
     dequantize_batch,
     lower_batch_planes,
     lower_batch_rows,
@@ -89,6 +88,17 @@ from repro.runtime.scheduler import (
     charge_adder_tree_movement,
 )
 from repro.utils.bitops import max_signed_value, min_signed_value
+
+#: ``lower_batch_planes`` is no longer called here; it stays exported because
+#: ``perfbench/tracing.py`` times every lowering function under this module's
+#: names.
+__all__ = [
+    "BatchedInference",
+    "InferenceResult",
+    "InferenceTileResult",
+    "lower_batch_planes",
+    "run_inference",
+]
 
 #: ``REPRO_HOST_DATAFLOW`` selects the layer-synchronous host staging
 #: discipline: ``wave`` (default) stages each layer's operands as views of
@@ -224,23 +234,12 @@ class _WaveGroup:
     so results scatter back by ``image * tiles + tile_index``.
     """
 
-    __slots__ = (
-        "tile",
-        "rows",
-        "tile_indices",
-        "starts",
-        "bindings",
-        "load_widths",
-        "rows_idx",
-    )
+    __slots__ = ("tile", "rows", "tile_indices", "starts", "bindings", "rows_idx")
 
-    def __init__(self, tile, rows: int, bindings, load_widths) -> None:
+    def __init__(self, tile, rows: int, bindings) -> None:
         self.tile = tile
         self.rows = rows
         self.bindings = bindings
-        #: Per program: operand name -> load region width (plane staging
-        #: slices each name's first ``width`` planes of the shared unpack).
-        self.load_widths = load_widths
         self.tile_indices: List[int] = []
         self.starts: List[int] = []
         #: Lazily built ``(tiles, rows)`` row-gather index (multi-tile groups).
@@ -255,21 +254,16 @@ class _NodePlan:
     ``groups`` is the wave grouping of those tiles - ``None`` when the
     backend has no wave support or any program declines wave lowering, in
     which case the layer always takes the legacy per-payload path.
-    ``plane_width`` is the widest operand load of the layer: the packed fast
-    path unpacks the layer's codes to that many bit planes once, and every
-    load slices its own first ``width`` planes (two's complement unpacking
-    is per-bit, so a prefix of a wider unpack IS the narrower unpack).
     ``min_width`` is the narrowest load width - codes outside its signed
     range cannot be staged (the legacy path then raises the proper range
     errors).
     """
 
-    __slots__ = ("tile_specs", "groups", "plane_width", "min_width")
+    __slots__ = ("tile_specs", "groups", "min_width")
 
-    def __init__(self, tile_specs, groups, plane_width, min_width) -> None:
+    def __init__(self, tile_specs, groups, min_width) -> None:
         self.tile_specs = tile_specs
         self.groups = groups
-        self.plane_width = plane_width
         self.min_width = min_width
 
 
@@ -303,7 +297,7 @@ def _plan_node(node, columns: int, technology, wave_capable: bool) -> _NodePlan:
         tile_specs.append((tile, row_slice, bindings, names_seq, channels, uniform))
 
     if not wave_capable:
-        return _NodePlan(tile_specs, None, None, None)
+        return _NodePlan(tile_specs, None, None)
     groups: Optional[List[_WaveGroup]] = []
     by_key: Dict[tuple, _WaveGroup] = {}
     widths_seen: set = set()
@@ -315,30 +309,24 @@ def _plan_node(node, columns: int, technology, wave_capable: bool) -> _NodePlan:
         )
         group = by_key.get(key)
         if group is None:
-            staging = wave_staging_plan(tile.programs, columns, technology=technology)
-            if staging is None:
+            load_widths = wave_staging_plan(
+                tile.programs, columns, technology=technology
+            )
+            if load_widths is None:
                 groups = None
                 break
-            load_widths, _ = staging
             for widths in load_widths:
                 widths_seen.update(widths.values())
-            group = by_key[key] = _WaveGroup(tile, tile.rows, bindings, load_widths)
+            group = by_key[key] = _WaveGroup(tile, tile.rows, bindings)
             groups.append(group)
         group.tile_indices.append(index)
         group.starts.append(row_slice.start)
-    plane_width = None
-    min_width = None
-    if groups is not None and widths_seen:
-        min_width = min(widths_seen)
-        plane_width = max(widths_seen)
-    return _NodePlan(tile_specs, groups, plane_width, min_width)
+    min_width = min(widths_seen) if groups is not None and widths_seen else None
+    return _NodePlan(tile_specs, groups, min_width)
 
 
 def _stage_group(
-    group: _WaveGroup,
-    lowered: np.ndarray,
-    num_images: int,
-    plane_width: Optional[int],
+    group: _WaveGroup, lowered: np.ndarray, num_images: int
 ) -> StagedWaveInputs:
     """Stage one wave group's operands as slices of the lowered tensor.
 
@@ -352,53 +340,24 @@ def _stage_group(
     instances = num_images * tiles
     if tiles == 1:
         window = slice(group.starts[0], group.starts[0] + rows)
-        if plane_width is None:
-            values = [
-                {name: lowered[:, channel, k, window] for name, k in names}
-                for channel, names in group.bindings
-            ]
-            return StagedWaveInputs(instances, rows, values=values)
-        planes = [
-            {
-                # Each load takes the first ``width`` planes of the shared
-                # unpack (a prefix of a wider two's complement unpack IS the
-                # narrower unpack, bit for bit).
-                name: lowered[:, channel, : widths[name], k, window].transpose(
-                    0, 2, 1
-                )
-                for name, k in names
-            }
-            for (channel, names), widths in zip(group.bindings, group.load_widths)
+        values = [
+            {name: lowered[:, channel, k, window] for name, k in names}
+            for channel, names in group.bindings
         ]
-        return StagedWaveInputs(instances, rows, planes=planes)
+        return StagedWaveInputs(instances, rows, values)
     rows_idx = group.rows_idx
     if rows_idx is None:
         rows_idx = group.rows_idx = np.asarray(group.starts, dtype=np.intp)[
             :, None
         ] + np.arange(rows, dtype=np.intp)
-    if plane_width is None:
-        values = [
-            {
-                name: lowered[:, channel, k, rows_idx].reshape(instances, rows)
-                for name, k in names
-            }
-            for channel, names in group.bindings
-        ]
-        return StagedWaveInputs(instances, rows, values=values)
-    planes = [
+    values = [
         {
-            # Two indexing steps: mixing the scalar channel/k indices with
-            # the row-gather array would make them advanced indices too and
-            # scramble the axis order.  (N, width, tiles, rows) gather ->
-            # (instances, rows, width).
-            name: lowered[:, channel, : widths[name], k][:, :, rows_idx]
-            .transpose(0, 2, 3, 1)
-            .reshape(instances, rows, widths[name])
+            name: lowered[:, channel, k, rows_idx].reshape(instances, rows)
             for name, k in names
         }
-        for (channel, names), widths in zip(group.bindings, group.load_widths)
+        for channel, names in group.bindings
     ]
-    return StagedWaveInputs(instances, rows, planes=planes)
+    return StagedWaveInputs(instances, rows, values)
 
 
 @dataclass
@@ -636,9 +595,6 @@ class BatchedInference:
                 )
                 for node in self.graph.nodes
             }
-        #: Reusable host staging arenas (one checked out per running request).
-        self._arenas: List[HostArena] = []
-        self._arena_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Forward-hook plumbing shared by both dispatch disciplines
@@ -694,25 +650,6 @@ class BatchedInference:
         finally:
             self._tls.hook = previous
 
-    @contextmanager
-    def _staging_arena(self):
-        """Check one host staging arena out of the pool for this request.
-
-        Arenas are reused across requests (their buffers already fit the
-        model's largest layer) but never shared between two running requests
-        - concurrent layer-synchronous runs each check out their own.
-        """
-        with self._arena_lock:
-            arena = self._arenas.pop() if self._arenas else HostArena()
-        previous = getattr(self._tls, "arena", None)
-        self._tls.arena = arena
-        try:
-            yield arena
-        finally:
-            self._tls.arena = previous
-            with self._arena_lock:
-                self._arenas.append(arena)
-
     # ------------------------------------------------------------------
     def run(
         self,
@@ -754,8 +691,7 @@ class BatchedInference:
             if batch is None
             else [x[start : start + batch] for start in range(0, x.shape[0], batch)]
         )
-        with self._staging_arena():
-            logits = np.concatenate([self._forward(chunk) for chunk in chunks], axis=0)
+        logits = np.concatenate([self._forward(chunk) for chunk in chunks], axis=0)
         finished = time.perf_counter()
         telemetry.complete(
             "session.request",
@@ -897,21 +833,19 @@ class BatchedInference:
     ) -> Optional[Tuple[List[InferenceTileResult], float]]:
         """Wave-native host path of one layer (staged operands, direct waves).
 
-        The whole layer is lowered once - to packed bit planes when every
-        operand load shares one width, to integer rows otherwise - and each
-        wave group's ``(image, tile)`` instances slice views of that one
-        tensor (:func:`_stage_group`).  Returns results in payload order
-        (image-major, tile-minor), or ``None`` to route the layer through
-        the legacy per-payload path (non-stageable codes or a declined
-        wave), which reproduces the pre-fusion behavior exactly.
+        The whole layer is lowered once to integer rows and each wave
+        group's ``(image, tile)`` instances slice views of that one tensor
+        (:func:`_stage_group`); the wave packs them into nanowire words as
+        it loads.  Returns results in payload order (image-major,
+        tile-minor), or ``None`` to route the layer through the legacy
+        per-payload path (non-stageable codes or a declined wave), which
+        reproduces the pre-fusion behavior exactly.
         """
         if num_images == 0 or not plan.tile_specs:
             return [], 0.0
-        plane_width = plan.plane_width
         if plan.min_width is not None:
-            # Out-of-range codes cannot be staged (the packed form has no
-            # per-value range check); the legacy path raises the proper
-            # errors for them, exactly as before the fusion.
+            # Out-of-range codes cannot be staged; the legacy path raises
+            # the proper errors for them, exactly as before the fusion.
             low = int(codes.min())
             high = int(codes.max())
             if low < min_signed_value(plan.min_width) or high > max_signed_value(
@@ -919,30 +853,16 @@ class BatchedInference:
             ):
                 return None
         technology = self.accelerator.config.technology
-        arena = getattr(self._tls, "arena", None)
-        if plane_width is not None:
-            lowered = lower_batch_planes(
-                codes,
-                node.kernel_size,
-                node.stride,
-                node.padding,
-                width=plane_width,
-                arena=arena,
-            )
-        else:
-            lowered = lower_batch_rows(
-                codes, node.kernel_size, node.stride, node.padding
-            )
+        lowered = lower_batch_rows(codes, node.kernel_size, node.stride, node.padding)
         with telemetry.span(
             "host.stage",
             category="host",
             layer=node.name,
             images=num_images,
-            mode="wave" if plane_width is None else "wave-planes",
+            mode="wave",
         ):
             staged_groups = [
-                _stage_group(group, lowered, num_images, plane_width)
-                for group in plan.groups
+                _stage_group(group, lowered, num_images) for group in plan.groups
             ]
         num_tiles = len(plan.tile_specs)
         results: List[Optional[InferenceTileResult]] = [None] * (

@@ -13,8 +13,10 @@ Scope and safety:
 
 * Only registry-string models are cacheable - a module tree built in user
   code has no stable identity to key on.
-* The key hashes the package version, so upgrading the compiler naturally
-  invalidates every prior entry (no stale-program hazard across releases).
+* The key hashes the package version and a digest of the :mod:`repro.core`
+  compiler sources, so upgrading the package - or editing the compiler in a
+  development tree without a version bump - invalidates every prior entry
+  (no stale-program hazard).
 * Stores are atomic (temp file + ``os.replace``); unreadable or truncated
   entries are treated as misses and overwritten, never trusted.
 * The cache is strictly opt-in: without the environment variable this module
@@ -23,6 +25,7 @@ Scope and safety:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -48,6 +51,29 @@ def cache_dir() -> Optional[Path]:
     return Path(value) if value else None
 
 
+def source_digest(directory: Path) -> str:
+    """SHA-256 over every ``*.py`` file below ``directory`` (names and bytes)."""
+    digest = hashlib.sha256()
+    for path in sorted(directory.rglob("*.py")):
+        digest.update(path.relative_to(directory).as_posix().encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def compiler_digest() -> str:
+    """Digest of the :mod:`repro.core` compiler sources of this process.
+
+    Computed once: the compiler a running process imported cannot change
+    under it.
+    """
+    import repro.core
+
+    return source_digest(Path(repro.core.__file__).parent)
+
+
 def cache_key(config, package_version: str) -> Optional[str]:
     """Stable cache key for one session configuration, or ``None``.
 
@@ -55,7 +81,8 @@ def cache_key(config, package_version: str) -> Optional[str]:
     have no registry identity).  The key covers every input that shapes the
     compiled artifacts: model identity (name, width, sparsity, weight RNG),
     quantization (bits, signed), compile limits (slices, layers), the input
-    shape override, and the package version.
+    shape override, the package version and the compiler sources
+    (:func:`compiler_digest`).
     """
     if not isinstance(config.model, str):
         return None
@@ -68,6 +95,7 @@ def cache_key(config, package_version: str) -> Optional[str]:
         {
             "format": _FORMAT,
             "version": package_version,
+            "compiler": compiler_digest(),
             "model": config.model,
             "width": config.width,
             "sparsity": config.sparsity,

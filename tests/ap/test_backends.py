@@ -34,12 +34,12 @@ from repro.ap.backends.harness import (
     random_inputs,
     random_program,
 )
-from repro.ap.backends.packing import unpack_bits
 from repro.ap.backends.vectorized import lut_truth_matrix
 from repro.ap.core import AssociativeProcessor
 from repro.ap.isa import APInstruction, APOpcode, APProgram, ColumnRegion
 from repro.ap.lut import all_luts, simulate_lut_passes
 from repro.errors import ConfigurationError
+from repro.rtm.timing import RTMTechnology
 
 
 def run_both(program, inputs, rows=16, columns=16):
@@ -423,6 +423,92 @@ def add_tile(width, columns=4):
     return [program], columns
 
 
+def stage_values(programs, inputs, rows):
+    """The host-staged form of per-instance input dicts."""
+    values = [
+        {
+            name: np.stack(
+                [
+                    np.asarray(instance[program_index][name], dtype=np.int64)
+                    for instance in inputs
+                ]
+            )
+            for name in inputs[0][program_index]
+        }
+        for program_index in range(len(programs))
+    ]
+    return StagedWaveInputs(len(inputs), rows, values=values)
+
+
+def region_program(opcode, a, b, dest, extra_dests=()):
+    """One arithmetic instruction over hand-placed regions."""
+    return single_instruction_program(
+        APInstruction(
+            opcode=opcode, dest=dest, src_a=a, src_b=b, extra_dests=extra_dests
+        ),
+        {"a": a, "b": b},
+        {"y": dest, **{f"e{index}": extra for index, extra in enumerate(extra_dests)}},
+    )
+
+
+def signed_inputs(program, rows, instances, rng):
+    """Per-instance inputs spanning each input region's full signed range,
+    with both extremes present."""
+    inputs = []
+    for _ in range(instances):
+        values = random_inputs(program, rows, rng)
+        for name, region in program.input_columns.items():
+            values[name][0] = -(2 ** (region.width - 1))
+            if rows > 1:
+                values[name][1] = 2 ** (region.width - 1) - 1
+        inputs.append([values])
+    return inputs
+
+
+class TestGeneratedWaves:
+    """Seeded random tiles: the wave equals per-instance execution.
+
+    Each block draws 25 tiles of 1-3 ``harness.random_program`` programs
+    (adds, subs, copies and clears, with and without extra destinations,
+    operands up to 40 bits) over 1-6 instances and 1-40 rows, and checks
+    outputs, ``CAMStats``, checksums and the stacked output rows.  Odd
+    seeds hand the inputs over in the host-staged form.  The generator
+    only emits shapes inside the wave subset, so every tile must run as a
+    wave.
+    """
+
+    @pytest.mark.parametrize("block", range(8))
+    def test_random_tiles_match_per_instance(self, block):
+        for seed in range(25 * block, 25 * block + 25):
+            rng = np.random.default_rng(7000 + seed)
+            columns = int(rng.integers(6, 20))
+            max_width = int(rng.integers(2, 41))
+            programs = [
+                random_program(
+                    rng,
+                    num_instructions=int(rng.integers(1, 16)),
+                    columns=columns,
+                    max_width=max_width,
+                    extra_dest_probability=float(rng.uniform(0.0, 0.5)),
+                    name=f"p{index}",
+                )
+                for index in range(int(rng.integers(1, 4)))
+            ]
+            rows = int(rng.integers(1, 41))
+            inputs = [
+                [random_inputs(program, rows, rng) for program in programs]
+                for _ in range(int(rng.integers(1, 7)))
+            ]
+            wave_inputs = (
+                stage_values(programs, inputs, rows) if seed % 2 else inputs
+            )
+            wave = execute_program_wave(programs, wave_inputs, rows, columns)
+            assert wave is not None, f"seed {seed} declined"
+            assert_wave_matches_baseline(
+                wave, per_instance_wave_baseline(programs, inputs, rows, columns)
+            )
+
+
 class TestWaveExecution:
     """Layer-wave contract: byte-identity to per-instance runs, or decline.
 
@@ -479,10 +565,10 @@ class TestWaveExecution:
             )
         assert accepted >= 5, f"wave accepted only {accepted}/10 fuzzed tiles"
 
-    @pytest.mark.parametrize("width", [8, 30, 34])
-    def test_narrow_and_wide_word_paths(self, rng, width):
-        """Both packed-arithmetic dtypes (int32 below 31 bits, int64 above)
-        reproduce the interpreter exactly, including near the value bounds."""
+    @pytest.mark.parametrize("width", [8, 30, 34, 60])
+    def test_word_widths(self, rng, width):
+        """Operand widths up to the 60-bit limit reproduce the interpreter
+        exactly, including near the value bounds."""
         programs, columns = add_tile(width)
         rows = 6
         bound = 2 ** (width - 1) - 1
@@ -497,6 +583,105 @@ class TestWaveExecution:
         assert_wave_matches_baseline(
             wave, per_instance_wave_baseline(programs, inputs, rows, columns)
         )
+
+    @pytest.mark.parametrize(
+        "opcode",
+        [
+            APOpcode.ADD_OUTOFPLACE,
+            APOpcode.SUB_OUTOFPLACE,
+            APOpcode.ADD_INPLACE,
+            APOpcode.SUB_INPLACE,
+        ],
+    )
+    def test_regions_ending_at_the_word_top(self, rng, opcode):
+        """Regions with ``offset + width == 64`` fill the nanowire word up
+        to its top bit (no headroom above the sign)."""
+        a = ColumnRegion(column=1, width=20, domain_offset=44)
+        b = ColumnRegion(column=2, width=24, domain_offset=40)
+        dest = b if opcode.is_inplace else ColumnRegion(
+            column=3, width=24, domain_offset=40
+        )
+        program = region_program(opcode, a, b, dest)
+        inputs = signed_inputs(program, rows=7, instances=3, rng=rng)
+        wave = execute_program_wave([program], inputs, 7, 4)
+        assert wave is not None
+        assert_wave_matches_baseline(
+            wave, per_instance_wave_baseline([program], inputs, 7, 4, "reference")
+        )
+
+    @pytest.mark.parametrize("inplace", [False, True])
+    def test_msb_replay_of_negative_narrow_source(self, rng, inplace):
+        """A 3-bit source under a 12-bit instruction replays its MSB into
+        every higher bit position, like ``ColumnRegion.bit_position``."""
+        a = ColumnRegion(column=1, width=3, domain_offset=5)
+        b = ColumnRegion(column=2, width=12, domain_offset=1)
+        if inplace:
+            program = region_program(APOpcode.SUB_INPLACE, a, b, b)
+        else:
+            program = region_program(
+                APOpcode.ADD_OUTOFPLACE,
+                a,
+                b,
+                ColumnRegion(column=3, width=12, domain_offset=2),
+                extra_dests=(ColumnRegion(column=4, width=5, domain_offset=0),),
+            )
+        rows = 6
+        inputs = signed_inputs(program, rows, instances=2, rng=rng)
+        for instance in inputs:
+            instance[0]["a"][:] = [-4, -1, -3, -2, -4, -1]
+        wave = execute_program_wave([program], inputs, rows, 5)
+        assert wave is not None
+        assert_wave_matches_baseline(
+            wave, per_instance_wave_baseline([program], inputs, rows, 5, "reference")
+        )
+
+    @pytest.mark.parametrize(
+        "opcode", [APOpcode.ADD_OUTOFPLACE, APOpcode.SUB_OUTOFPLACE]
+    )
+    def test_narrow_extra_destination_keeps_unfired_bits(self, rng, opcode):
+        """Above a narrow extra destination's own width, only fired bits are
+        written: an input loaded there and read back shows which bits the
+        instruction's passes touched, row by row."""
+        a = ColumnRegion(column=1, width=10, domain_offset=0)
+        b = ColumnRegion(column=2, width=10, domain_offset=3)
+        dest = ColumnRegion(column=3, width=10, domain_offset=1)
+        extra = ColumnRegion(column=4, width=4, domain_offset=2)
+        above = ColumnRegion(column=4, width=8, domain_offset=6)
+        program = single_instruction_program(
+            APInstruction(
+                opcode=opcode, dest=dest, src_a=a, src_b=b, extra_dests=(extra,)
+            ),
+            {"a": a, "b": b, "h": above},
+            {"y": dest, "e": extra, "h": above},
+        )
+        rows = 12
+        inputs = signed_inputs(program, rows, instances=3, rng=rng)
+        for instance in inputs:
+            instance[0]["h"][:] = -1  # every domain above the extra is 1
+        wave = execute_program_wave([program], inputs, rows, 5)
+        assert wave is not None
+        assert_wave_matches_baseline(
+            wave, per_instance_wave_baseline([program], inputs, rows, 5, "reference")
+        )
+
+    def test_declines_nanowires_longer_than_a_word(self, rng, monkeypatch):
+        """65 domains do not fit one uint64 word: the wave declines through
+        ``_decline("geometry")`` and the staging pre-flight refuses too."""
+        from repro.ap.backends import batched as batched_module
+
+        reasons = []
+        monkeypatch.setattr(
+            batched_module, "_decline", lambda reason, **_: reasons.append(reason)
+        )
+        programs, columns = add_tile(5)
+        inputs = self._tile_inputs(programs, 4, instances=2, rng=rng)
+        technology = RTMTechnology(domains_per_nanowire=65)
+        assert (
+            execute_program_wave(programs, inputs, 4, columns, technology=technology)
+            is None
+        )
+        assert reasons == ["geometry"]
+        assert wave_staging_plan(programs, columns, technology=technology) is None
 
     def test_per_instance_stats_diverge_with_data(self):
         """Write-phase counters are data-dependent and tracked per instance."""
@@ -576,54 +761,10 @@ class TestStagedWaveExecution:
 
     The wave-native host dataflow hands ``execute_program_wave`` one
     :class:`StagedWaveInputs` per layer group instead of ``instances``
-    payload dicts; both the integer-batch and pre-unpacked bit-plane forms
-    must reproduce the legacy form bit for bit, and malformed staging must
-    decline (return ``None``) rather than corrupt the wave.
+    payload dicts; the staged integer batches must reproduce the legacy form
+    bit for bit, and malformed staging must decline (return ``None``) rather
+    than corrupt the wave.
     """
-
-    def _staged_values(self, programs, inputs, rows):
-        values = []
-        for program_index, _ in enumerate(programs):
-            names = inputs[0][program_index].keys()
-            values.append(
-                {
-                    name: np.stack(
-                        [
-                            np.asarray(
-                                instance[program_index][name], dtype=np.int64
-                            )
-                            for instance in inputs
-                        ]
-                    )
-                    for name in names
-                }
-            )
-        return StagedWaveInputs(len(inputs), rows, values=values)
-
-    def _staged_planes(self, programs, inputs, rows, columns):
-        plan = wave_staging_plan(programs, columns)
-        assert plan is not None
-        load_widths, _ = plan
-        planes = []
-        for program_index, widths in enumerate(load_widths):
-            planes.append(
-                {
-                    name: unpack_bits(
-                        np.stack(
-                            [
-                                np.asarray(
-                                    instance[program_index][name],
-                                    dtype=np.int64,
-                                )
-                                for instance in inputs
-                            ]
-                        ),
-                        width,
-                    )
-                    for name, width in widths.items()
-                }
-            )
-        return StagedWaveInputs(len(inputs), rows, planes=planes)
 
     def test_staged_values_match_per_instance(self, rng):
         programs, columns = add_tile(7)
@@ -634,7 +775,7 @@ class TestStagedWaveExecution:
         ]
         baseline = execute_program_wave(programs, inputs, rows, columns)
         staged = execute_program_wave(
-            programs, self._staged_values(programs, inputs, rows), rows, columns
+            programs, stage_values(programs, inputs, rows), rows, columns
         )
         assert baseline is not None and staged is not None
         for legacy, wave in zip(baseline, staged):
@@ -642,35 +783,9 @@ class TestStagedWaveExecution:
             assert legacy[2] == wave[2]
             assert np.array_equal(legacy[3], wave[3])
 
-    def test_staged_planes_match_staged_values(self, rng):
-        programs, columns = add_tile(6)
-        rows = 5
-        inputs = [
-            [random_inputs(program, rows, rng) for program in programs]
-            for _ in range(3)
-        ]
-        from_values = execute_program_wave(
-            programs, self._staged_values(programs, inputs, rows), rows, columns
-        )
-        from_planes = execute_program_wave(
-            programs,
-            self._staged_planes(programs, inputs, rows, columns),
-            rows,
-            columns,
-        )
-        assert from_values is not None and from_planes is not None
-        for left, right in zip(from_values, from_planes):
-            assert left[0] == right[0]
-            assert left[2] == right[2]
-            assert np.array_equal(left[3], right[3])
-
     def test_staging_plan_reports_load_widths(self):
         programs, columns = add_tile(7)
-        plan = wave_staging_plan(programs, columns)
-        assert plan is not None
-        load_widths, uniform = plan
-        assert load_widths == [{"a": 7, "b": 7}]
-        assert uniform == 7
+        assert wave_staging_plan(programs, columns) == [{"a": 7, "b": 7}]
 
     def test_staging_plan_declines_bad_geometry(self):
         programs, _ = add_tile(7)
@@ -686,7 +801,7 @@ class TestStagedWaveExecution:
             [random_inputs(program, rows, rng) for program in programs]
             for _ in range(6)
         ]
-        staged = self._staged_values(programs, inputs, rows)
+        staged = stage_values(programs, inputs, rows)
         whole = execute_program_wave(programs, staged, rows, columns)
         monkeypatch.setattr(batched_module, "_MAX_WAVE_STATE_BYTES", 1)
         chunked = execute_program_wave(programs, staged, rows, columns)
@@ -704,7 +819,7 @@ class TestStagedWaveExecution:
             [random_inputs(program, rows, rng) for program in programs]
             for _ in range(2)
         ]
-        good = self._staged_values(programs, inputs, rows)
+        good = stage_values(programs, inputs, rows)
 
         bad_shape = StagedWaveInputs(
             2, rows, values=[{**good.values[0], "a": np.zeros((2, rows + 1))}]
@@ -731,9 +846,3 @@ class TestStagedWaveExecution:
         assert (
             execute_program_wave(programs, non_integer, rows, columns) is None
         )
-
-    def test_staged_requires_exactly_one_form(self):
-        with pytest.raises(ValueError):
-            StagedWaveInputs(1, 4)
-        with pytest.raises(ValueError):
-            StagedWaveInputs(1, 4, values=[], planes=[])

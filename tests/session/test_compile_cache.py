@@ -37,6 +37,30 @@ class TestCacheKey:
             assert cache.cache_key(variant, repro.__version__) != base
         assert cache.cache_key(SessionConfig(**MODEL_KWARGS), "0.0.0") != base
 
+    def test_key_covers_compiler_sources(self, monkeypatch):
+        base = cache.cache_key(SessionConfig(**MODEL_KWARGS), repro.__version__)
+        monkeypatch.setattr(cache, "compiler_digest", lambda: "0" * 64)
+        edited = cache.cache_key(SessionConfig(**MODEL_KWARGS), repro.__version__)
+        assert edited != base
+
+    def test_source_digest_tracks_edits(self, tmp_path):
+        (tmp_path / "compiler.py").write_text("def compile(): return 1\n")
+        (tmp_path / "nested").mkdir()
+        (tmp_path / "nested" / "cse.py").write_text("X = 1\n")
+        before = cache.source_digest(tmp_path)
+        assert cache.source_digest(tmp_path) == before
+        (tmp_path / "nested" / "cse.py").write_text("X = 2\n")
+        assert cache.source_digest(tmp_path) != before
+
+    def test_compiler_digest_covers_repro_core(self):
+        from pathlib import Path
+
+        import repro.core
+
+        assert cache.compiler_digest() == cache.source_digest(
+            Path(repro.core.__file__).parent
+        )
+
     def test_module_tree_models_are_not_cacheable(self):
         from repro.nn.layers import Flatten, TernaryLinear
         from repro.nn.model import Sequential
@@ -81,6 +105,20 @@ class TestSessionCompileCache:
         assert (
             cold.execution.total_stats == warm.execution.total_stats
         )
+
+    def test_changed_compiler_is_a_miss(self, tmp_path, monkeypatch):
+        """An entry written by another compiler is never served."""
+        monkeypatch.setenv(cache.COMPILE_CACHE_ENV, str(tmp_path))
+        session, status = _compile_status()
+        session.close()
+        assert status == "miss"
+        session, status = _compile_status()
+        session.close()
+        assert status == "hit"
+        monkeypatch.setattr(cache, "compiler_digest", lambda: "0" * 64)
+        session, status = _compile_status()
+        session.close()
+        assert status == "miss"
 
     def test_corrupt_entry_is_a_miss(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cache.COMPILE_CACHE_ENV, str(tmp_path))
