@@ -2,9 +2,9 @@
 
 The API redesign's quantitative claim: a *warm* :class:`repro.session.Session`
 (compiled and weight-resident-deployed once, weights pinned in CAM) serving N
-inference requests must beat N *cold* end-to-end runs (the legacy
-``run_inference`` path, which re-compiles, re-plans and re-leases everything
-per call) by a healthy wall-clock margin - and it must do so while the
+inference requests must beat N *cold* end-to-end runs (a fresh session per
+request, which re-compiles, re-plans and re-deploys everything per call) by
+a healthy wall-clock margin - and it must do so while the
 residency ledger shows **zero** additional lease/reprogram events after
 deploy.
 
@@ -16,7 +16,6 @@ is the re-deployment overhead the session eliminates.
 """
 
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -58,17 +57,24 @@ def test_warm_session_beats_cold_runs(
     narrow_resnet18, request_batches, ap_backend, save_report
 ):
     """A warm session serving 8 requests vs. 8 from-scratch runs."""
-    from repro.inference.engine import run_inference
+
+    def new_session():
+        return Session(
+            model=narrow_resnet18,
+            input_shape=INPUT_SHAPE,
+            bits=4,
+            backend=ap_backend,
+            name="resnet18-narrow",
+        )
+
+    def cold_request(batch):
+        with new_session() as cold:
+            cold.compile().deploy()
+            return cold.infer(batch)
 
     # Warm: one compile + one weight-resident deploy, then N infer() calls.
     setup_started = time.perf_counter()
-    with Session(
-        model=narrow_resnet18,
-        input_shape=INPUT_SHAPE,
-        bits=4,
-        backend=ap_backend,
-        name="resnet18-narrow",
-    ) as session:
+    with new_session() as session:
         session.compile().deploy()
         setup_s = time.perf_counter() - setup_started
         deployed = session.residency
@@ -82,21 +88,9 @@ def test_warm_session_beats_cold_runs(
     assert after.lease_events == deployed.lease_events
     assert after.reprogram_events == deployed.reprogram_events
 
-    # Cold: the deprecated one-shot path, once per request.
+    # Cold: a fresh session (compile + deploy) per request.
     cold_started = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        cold_results = [
-            run_inference(
-                narrow_resnet18,
-                batch,
-                bits=4,
-                backend=ap_backend,
-                input_shape=INPUT_SHAPE,
-                name="resnet18-narrow",
-            )
-            for batch in request_batches
-        ]
+    cold_results = [cold_request(batch) for batch in request_batches]
     cold_s = time.perf_counter() - cold_started
 
     for warm, cold in zip(warm_results, cold_results):

@@ -12,10 +12,10 @@ Three claims, gated on the width-1/16 vgg9 wave workload:
 2. **Byte identity.**  The traced run's logits, CAM counters and residency
    ledger equal the untraced run's, bit for bit - instrumentation wraps
    work, it never touches the data path.
-3. **Pipeline overlap witness.**  A concurrent serve with tracing on yields
-   >= 2 concurrently-open device spans on *disjoint* AP-group tracks - the
-   Chrome trace visibly shows the pipeline overlap (skipped below 4 CPUs,
-   like the pipeline speedup gate).
+3. **Request overlap witness.**  A concurrent serve with tracing on yields
+   >= 2 concurrently-open device spans on different threads - the Chrome
+   trace visibly shows overlapping requests (skipped below 4 CPUs, like
+   the pool speedup gates).
 """
 
 import os

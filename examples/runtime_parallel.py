@@ -20,9 +20,9 @@ from repro import (
     CompilerConfig,
     build_execution_plan,
     compile_model,
-    crosscheck_execution,
     specs_for_network,
 )
+from repro.perf.model import crosscheck_execution
 
 
 def main() -> None:

@@ -1,14 +1,15 @@
 """Demo: structured tracing and the unified metrics registry.
 
-Runs a pipelined, concurrent serving workload with tracing on and shows the
-three observability surfaces added by the telemetry subsystem:
+Runs overlapping client requests against one deployed session with tracing
+on and shows the three observability surfaces of the telemetry subsystem:
 
 1. **Spans** - every compile, deploy, request, layer dispatch and device
    tile execution is wrapped in a span carrying stable attributes (layer,
    image, ap, backend, executor, request_id).  The collected spans are
    written as a Chrome-trace JSON: load it at https://ui.perfetto.dev (or
-   ``chrome://tracing``) and the per-AP-group tracks visibly show layer
-   L+1 of one image overlapping layer L of the next.
+   ``chrome://tracing``) to see each request's layers run one after
+   another, each layer on its own AP-group track, while the requests
+   overlap.
 2. **Span summary** - the same events folded into a top-N table by total
    wall-clock, the quick look before the JSON ever leaves the machine.
 3. **Metrics registry** - counters, gauges and wall-clock histograms
@@ -55,7 +56,6 @@ def main() -> None:
         bits=arguments.bits,
         executor="thread",
         workers=arguments.workers,
-        pipeline=True,
         concurrency=max(2, arguments.requests),
         trace=arguments.trace,  # install tracer + write the file on close
         metrics=True,

@@ -77,7 +77,6 @@ from repro.inference import (
     DataflowGraph,
     InferenceResult,
     quantized_reference_forward,
-    run_inference,
 )
 from repro.nn.models.registry import available_models, build_model
 from repro.nn.stats import ConvLayerSpec, model_layer_specs
@@ -88,7 +87,6 @@ from repro.perf.model import (
     crosscheck_cost_model,
     evaluate_model,
 )
-from repro.perf.model import crosscheck_execution as _crosscheck_execution
 from repro.perf.pipeline import (
     PipelineCost,
     pipeline_cost,
@@ -122,27 +120,7 @@ from repro.session import (
 )
 
 
-def crosscheck_execution(*args, **kwargs):
-    """Deprecated top-level alias of the layer-granularity cost crosscheck.
-
-    .. deprecated:: 1.1
-        Serve requests through :class:`repro.session.Session` and call
-        :meth:`~repro.session.session.Session.crosscheck` (which knows the
-        session's plan and image counts), or import the engine-level
-        function from :mod:`repro.perf.model` directly.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.crosscheck_execution is deprecated; use Session.crosscheck() "
-        "(or repro.perf.model.crosscheck_execution for plan/execution pairs)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _crosscheck_execution(*args, **kwargs)
-
-
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 __all__ = [
     "Session",
@@ -178,10 +156,8 @@ __all__ = [
     "BatchedInference",
     "DataflowGraph",
     "InferenceResult",
-    "run_inference",
     "quantized_reference_forward",
     "crosscheck_cost_model",
-    "crosscheck_execution",
     "APInstruction",
     "APOpcode",
     "APProgram",

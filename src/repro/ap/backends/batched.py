@@ -63,9 +63,9 @@ the lowering cost.
 :class:`BatchedBackend` itself subclasses the vectorized backend, so
 ``backend="batched"`` behaves identically to ``"vectorized"`` for ordinary
 per-instruction execution (CLI, tests, ``REPRO_AP_BACKEND``); the class
-additionally advertises ``supports_program_wave`` which the inference engine
-uses to hand it whole layers via :meth:`Executor.map_layer
-<repro.runtime.executors.Executor.map_layer>`.
+additionally advertises ``supports_program_wave``, which tells the
+inference engine (:mod:`repro.inference.engine`) to hand it whole layers of
+staged operands.
 """
 
 from __future__ import annotations

@@ -189,7 +189,8 @@ class Accelerator:
     Lock discipline
     ---------------
     The ledgers (``_tile_stats``, ``_movement``, ``_residency``, ``_pins``)
-    are shared by every driver thread of the pipelined runtime.  Every
+    are shared by every thread that dispatches work: overlapping inference
+    requests and the synthetic pipelined scheduler's workers.  Every
     mutation of them must happen lexically inside ``with self._ledger_lock:``
     (``__init__`` excepted - the instance is not shared yet); the lock is
     **not** reentrant, so code holding it must not call other methods that
@@ -232,10 +233,10 @@ class Accelerator:
         self._pins: Dict[APAddress, PinnedLease] = {}
         #: Runtime ledger: lease / reprogram / warm-hit accounting.
         self._residency = ResidencyLedger()
-        #: Ledger guard: the pipelined dispatch engine charges counters from
-        #: several driver threads concurrently; every mutation of the stats,
-        #: movement and residency ledgers takes this lock so the exact
-        #: integer counters stay exact under overlapped requests.
+        #: Ledger guard: overlapping requests and the pipelined scheduler
+        #: charge counters from several threads concurrently; every mutation
+        #: of the stats, movement and residency ledgers takes this lock so
+        #: the exact integer counters stay exact under overlapped requests.
         self._ledger_lock = threading.Lock()
 
     # ------------------------------------------------------------------

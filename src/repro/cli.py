@@ -169,11 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     infer_parser.add_argument("--seed", type=int, default=0,
                               help="seed of the synthetic input images")
-    infer_parser.add_argument("--pipeline", action="store_true",
-                              help="dependency-driven pipelined dispatch (layer L+1 "
-                                   "of one image overlaps layer L of the next on "
-                                   "disjoint resident AP groups; byte-identical "
-                                   "logits)")
     infer_parser.add_argument("--no-crosscheck", action="store_true",
                               help="skip the NumPy-reference and cost-model crosschecks")
     _add_telemetry_arguments(infer_parser)
@@ -215,12 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "uses seed + r)")
     serve_parser.add_argument("--concurrency", type=int, default=1,
                               help="overlapped client requests in flight at once "
-                                   "(>1 drives Session.submit()/gather(): requests "
-                                   "pipeline over the same pinned plan)")
-    serve_parser.add_argument("--pipeline", action="store_true",
-                              help="pipelined dispatch for sequential requests too "
-                                   "(implied for the overlapped requests of "
-                                   "--concurrency > 1)")
+                                   "(>1 drives Session.submit()/gather() over the "
+                                   "same pinned plan)")
     serve_parser.add_argument("--json", action="store_true",
                               help="emit the machine-readable report (same schema "
                                    "as benchmarks/output/BENCH_*.json) instead of "
@@ -376,9 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument("--seed", type=int, default=0,
                               help="seed of the synthetic input images")
-    trace_parser.add_argument("--pipeline", action="store_true",
-                              help="pipelined dispatch (overlapping device spans "
-                                   "land on disjoint ap-group tracks)")
     trace_parser.add_argument("--concurrency", type=int, default=1,
                               help="overlapped client requests in flight at once")
     trace_parser.add_argument("-o", "--out", default="trace.json",
@@ -546,9 +534,7 @@ def _run_infer(arguments: argparse.Namespace) -> str:
     images = synthetic_images(
         record.dataset, batch_size=arguments.images, rng=arguments.seed
     )
-    config = _session_config(
-        arguments, width=arguments.width, pipeline=arguments.pipeline
-    )
+    config = _session_config(arguments, width=arguments.width)
     with Session(config) as session:
         session.compile().deploy()
         result = session.infer(images, batch=arguments.batch)
@@ -630,7 +616,6 @@ def _run_serve(arguments: argparse.Namespace) -> str:
     config = _session_config(
         arguments,
         width=arguments.width,
-        pipeline=arguments.pipeline,
         concurrency=max(1, arguments.concurrency),
     )
     with Session(config) as session:
@@ -645,8 +630,8 @@ def _run_serve(arguments: argparse.Namespace) -> str:
             for request in range(arguments.requests)
         ]
         if arguments.concurrency > 1:
-            # Overlapped clients: every request pipelines over the same
-            # pinned plan; gather() records them in submission order.
+            # Overlapped clients over the same pinned plan; gather()
+            # records them in submission order.
             for batch in batches:
                 session.submit(batch, batch=arguments.batch)
             session.gather()
@@ -1042,7 +1027,6 @@ def _run_trace(arguments: argparse.Namespace) -> str:
     config = _session_config(
         arguments,
         width=arguments.width,
-        pipeline=arguments.pipeline or arguments.concurrency > 1,
         concurrency=max(1, arguments.concurrency),
         trace=arguments.out,
     )

@@ -7,18 +7,20 @@ of the runtime of :mod:`repro.runtime`:
    tree with its compiled per-slice AP programs and the execution plan's tile
    placements, and owns the run's per-layer activation buffers.
 2. :class:`~repro.inference.activations.ActivationStore` quantizes every
-   layer's input with per-image LSQ calibration and lowers it (im2col) to the
-   AP row operands of the layer's tile programs.
-3. :class:`~repro.inference.engine.BatchedInference` fans each layer's
-   ``(image, tile)`` work items over the runtime's executors, reduces the
-   exact integer partial sums order-independently, and meters CAM counters
-   plus interconnect traffic through the accelerator's ledgers.
+   layer's input with per-image LSQ calibration and keeps one request's
+   per-layer buffers; the engine lowers it (im2col) to the AP row operands
+   of the layer's tile programs.
+3. :class:`~repro.inference.engine.BatchedInference` executes each layer's
+   ``(image, tile)`` instances as staged waves (or per instance on the
+   runtime's executors), reduces the exact integer partial sums
+   order-independently, and meters CAM counters plus interconnect traffic
+   through the accelerator's ledgers.
 4. :func:`~repro.inference.reference.quantized_reference_forward` is the
    pure-NumPy ground truth the AP logits must match byte for byte.
 
-The one-call entry point is :func:`~repro.inference.engine.run_inference`
-(also exported from :mod:`repro`); ``python -m repro infer`` wraps it on the
-command line.
+Serve requests through :class:`repro.session.Session`, which deploys the
+weights once and drives this engine; ``python -m repro infer`` wraps it on
+the command line.
 """
 
 from repro.inference.activations import (
@@ -37,7 +39,6 @@ from repro.inference.engine import (
     BatchedInference,
     InferenceResult,
     InferenceTileResult,
-    run_inference,
 )
 from repro.inference.reference import quantized_reference_forward
 
@@ -53,6 +54,5 @@ __all__ = [
     "BatchedInference",
     "InferenceResult",
     "InferenceTileResult",
-    "run_inference",
     "quantized_reference_forward",
 ]

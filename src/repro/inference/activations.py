@@ -25,16 +25,15 @@ the per-layer buffers:
   with :class:`HostArena` to reuse its staging buffers.  The batched
   backend's packed-word wave loads integer codes directly, so the engine no
   longer calls it.
-* :class:`ActivationStore` owns the per-layer activation buffers of a
-  :class:`~repro.inference.dataflow.DataflowGraph` and meters the activation
-  bits that enter each layer (the interconnect hand-off traffic).
+* :class:`ActivationStore` owns the per-layer activation buffers of one
+  inference request and meters the activation bits that enter each layer
+  (the interconnect hand-off traffic).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,6 +57,10 @@ def normalize_images(
 
     Returns:
         ``(x, input_shape)`` with ``x`` of shape ``(N,) + input_shape``.
+
+    Raises:
+        ModelDefinitionError: for a shape mismatch, an empty batch, or
+            NaN/infinite pixel values (which have no quantized code).
     """
     x = np.asarray(images, dtype=np.float64)
     if input_shape is None:
@@ -70,6 +73,10 @@ def normalize_images(
         raise ModelDefinitionError(
             f"images of shape {x.shape} do not match input shape {input_shape}"
         )
+    if x.shape[0] == 0:
+        raise ModelDefinitionError("an inference request needs at least one image")
+    if not np.isfinite(x).all():
+        raise ModelDefinitionError("images contain NaN or infinite values")
     return x, input_shape
 
 
@@ -281,7 +288,7 @@ def lower_batch_planes(
 
 @dataclass
 class LayerActivations:
-    """Per-layer activation buffer owned by the dataflow graph."""
+    """Per-layer activation buffer of one inference request."""
 
     name: str
     #: Per-image LSQ step sizes of the layer's quantized input.
@@ -290,24 +297,6 @@ class LayerActivations:
     input_bits: int
     #: Quantized input codes / integer outputs (kept only when the store is
     #: constructed with ``keep_tensors=True``; large models drop them).
-    input_codes: Optional[np.ndarray] = None
-    output_int: Optional[np.ndarray] = None
-
-
-@dataclass
-class _ImageSlot:
-    """One in-flight image's buffers of one layer (pipelined execution).
-
-    Pipelined runs quantize each image independently on its own driver
-    thread; the slots are the double-buffering generalized to the pipeline
-    depth - at most ``depth`` images hold live slots, and every slot is
-    folded into the per-layer :class:`LayerActivations` (in image order, so
-    the result is byte-identical to a layer-synchronous batch) and freed
-    when :meth:`ActivationStore.finalize_images` runs.
-    """
-
-    steps: np.ndarray
-    input_bits: int
     input_codes: Optional[np.ndarray] = None
     output_int: Optional[np.ndarray] = None
 
@@ -334,27 +323,6 @@ class ActivationStore:
         self.keep_tensors = keep_tensors
         self._layers: Dict[str, LayerActivations] = {}
         self._order: List[str] = []
-        #: In-flight per-image slots of a pipelined run: ``name -> {image:
-        #: slot}``.  Guarded by ``_lock`` (driver threads record
-        #: concurrently); drained by :meth:`finalize_images`.
-        self._pending: Dict[str, Dict[int, _ImageSlot]] = {}
-        self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    def _quantize(
-        self, name: str, x: np.ndarray, image: Optional[int] = None
-    ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """The single quantization site of both engine disciplines.
-
-        :meth:`quantize_input` (layer-synchronous) and
-        :meth:`quantize_image_input` (pipelined) only differ in bookkeeping;
-        the calibration itself - and its traffic metering - lives here once,
-        so the two paths cannot drift.
-        """
-        attrs = {"layer": name} if image is None else {"layer": name, "image": image}
-        with telemetry.span("host.quantize", category="host", **attrs):
-            codes, steps = quantize_batch(x, self.activation_bits, self.signed)
-        return codes, steps, int(codes.size) * self.activation_bits
 
     def quantize_input(self, name: str, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Quantize a layer's float input and record its buffer entry.
@@ -362,7 +330,9 @@ class ActivationStore:
         A layer visited again (the next micro-batch of a chunked run) extends
         its entry: traffic bits accumulate and the per-image steps concatenate.
         """
-        codes, steps, bits = self._quantize(name, x)
+        with telemetry.span("host.quantize", category="host", layer=name):
+            codes, steps = quantize_batch(x, self.activation_bits, self.signed)
+        bits = int(codes.size) * self.activation_bits
         existing = self._layers.get(name)
         if existing is None:
             self._order.append(name)
@@ -378,96 +348,6 @@ class ActivationStore:
             if self.keep_tensors and existing.input_codes is not None:
                 existing.input_codes = np.concatenate([existing.input_codes, codes])
         return codes, steps
-
-    # ------------------------------------------------------------------
-    # Per-image slots (pipelined execution)
-    # ------------------------------------------------------------------
-    def quantize_image_input(
-        self, name: str, image: int, x: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Quantize one in-flight image's layer input into its own slot.
-
-        The pipelined engine's counterpart of :meth:`quantize_input`: each
-        image is quantized independently (per-image LSQ calibration makes
-        this byte-identical to quantizing the whole batch at once) and its
-        buffers land in a per-image slot, so concurrent driver threads never
-        contend on one growing array.  Thread-safe.
-        """
-        codes, steps, bits = self._quantize(name, x, image=image)
-        with self._lock:
-            slots = self._pending.setdefault(name, {})
-            if image in slots:
-                raise ModelDefinitionError(
-                    f"image {image} already recorded an input slot for layer "
-                    f"{name!r}; a pipelined run visits each layer once per image"
-                )
-            slots[image] = _ImageSlot(
-                steps=steps,
-                input_bits=bits,
-                input_codes=codes if self.keep_tensors else None,
-            )
-        return codes, steps
-
-    def record_image_output(
-        self, name: str, image: int, output_int: np.ndarray
-    ) -> None:
-        """Attach one image's integer output to its in-flight slot."""
-        if not self.keep_tensors:
-            return
-        with self._lock:
-            slot = self._pending.get(name, {}).get(image)
-            if slot is not None:
-                slot.output_int = output_int
-
-    def finalize_images(self, order: Sequence[str], images: int) -> None:
-        """Fold every in-flight image slot into the per-layer buffers.
-
-        Called once per pipelined run after all images complete.  Slots are
-        folded **in image order** per layer, so the resulting
-        :class:`LayerActivations` (steps, traffic bits, kept tensors) are
-        byte-identical to a layer-synchronous batched run - no matter in
-        which order the pipeline finished the images.  The slots are freed
-        afterwards.
-
-        Args:
-            order: layer names in execution (graph) order.
-            images: number of images the run processed; every layer must
-                have a slot for each.
-        """
-        with self._lock, telemetry.span(
-            "host.finalize", category="host", layers=len(order), images=images
-        ):
-            for name in order:
-                slots = self._pending.get(name, {})
-                missing = [image for image in range(images) if image not in slots]
-                if missing:
-                    raise ModelDefinitionError(
-                        f"pipelined run finished with images {missing} missing "
-                        f"an activation slot for layer {name!r}"
-                    )
-                ordered = [slots[image] for image in range(images)]
-                steps = (
-                    np.concatenate([slot.steps for slot in ordered])
-                    if ordered
-                    else np.empty(0)
-                )
-                entry = LayerActivations(
-                    name=name,
-                    steps=steps,
-                    input_bits=sum(slot.input_bits for slot in ordered),
-                )
-                if self.keep_tensors and ordered:
-                    if all(slot.input_codes is not None for slot in ordered):
-                        entry.input_codes = np.concatenate(
-                            [slot.input_codes for slot in ordered]
-                        )
-                    if all(slot.output_int is not None for slot in ordered):
-                        entry.output_int = np.concatenate(
-                            [slot.output_int for slot in ordered]
-                        )
-                self._order.append(name)
-                self._layers[name] = entry
-            self._pending.clear()
 
     def record_output(self, name: str, output_int: np.ndarray) -> None:
         """Attach a layer's integer output to its buffer entry."""
@@ -497,7 +377,5 @@ class ActivationStore:
 
     def clear(self) -> None:
         """Drop every buffer entry (reused across micro-batches)."""
-        with self._lock:
-            self._layers.clear()
-            self._order.clear()
-            self._pending.clear()
+        self._layers.clear()
+        self._order.clear()

@@ -9,20 +9,13 @@ executes: one :class:`DataflowNode` per weight layer, linking
 * the **planned layer** of the execution plan (tile programs with hardware
   placements).
 
-The graph also owns the run's per-layer activation buffers through an
-:class:`~repro.inference.activations.ActivationStore` - the paper's CAM-only
-claim is that activations *stay resident*; the store is where the runtime
-keeps them (and meters their movement) between layers.
-
 Nodes form the *per-image* dependency chain: the host executes the model's
 interstitial operators (batch norm, ReLU, pooling, residual adds) between
 weight layers, so node ``i`` of one image always completes before node
 ``i+1`` of the *same image* starts - including the residual topologies of
 ResNet, whose shortcut adds happen on the host between the chain's nodes.
-Whether that chain is walked with a batch-wide barrier per node
-(layer-synchronous) or per image with nodes of different images overlapping
-on their disjoint resident AP groups (pipelined) is the engine's choice
-(:mod:`repro.inference.engine`); the graph itself only encodes the
+The engine (:mod:`repro.inference.engine`) walks that chain with a
+batch-wide barrier per node; the graph itself only encodes the
 activation-readiness dependencies.
 """
 
@@ -36,7 +29,6 @@ import numpy as np
 
 from repro.core.compiler import CompiledLayer, CompiledModel
 from repro.errors import CompilationError
-from repro.inference.activations import ActivationStore
 from repro.nn.layers import Linear, Module, TernaryConv2d, TernaryLinear
 from repro.runtime.plan import ExecutionPlan, PlannedLayer
 
@@ -120,8 +112,7 @@ class DataflowGraph:
     """Static join of a model, its compiled programs and its execution plan.
 
     Built with :meth:`build`; executed by
-    :class:`~repro.inference.engine.BatchedInference`.  Owns the run's
-    activation buffers (:attr:`store`).
+    :class:`~repro.inference.engine.BatchedInference`.
     """
 
     def __init__(
@@ -130,15 +121,11 @@ class DataflowGraph:
         input_shape: ShapeLike,
         plan: ExecutionPlan,
         nodes: List[DataflowNode],
-        store: Optional[ActivationStore] = None,
     ) -> None:
         self.model = model
         self.input_shape = tuple(input_shape)
         self.plan = plan
         self.nodes = nodes
-        self.store = store or ActivationStore(
-            activation_bits=plan.layers[0].tiles[0].activation_bits if plan.layers else 4
-        )
         self._by_name = {node.name: node for node in nodes}
 
     # ------------------------------------------------------------------
@@ -149,7 +136,6 @@ class DataflowGraph:
         input_shape: ShapeLike,
         compiled: CompiledModel,
         plan: ExecutionPlan,
-        store: Optional[ActivationStore] = None,
     ) -> "DataflowGraph":
         """Join a model with its compiled form and execution plan.
 
@@ -196,7 +182,7 @@ class DataflowGraph:
             )
             node._input_shape = tuple(shape)
             nodes.append(node)
-        return cls(model, input_shape, plan, nodes, store=store)
+        return cls(model, input_shape, plan, nodes)
 
     # ------------------------------------------------------------------
     def __iter__(self) -> Iterator[DataflowNode]:

@@ -1,27 +1,30 @@
 """Pluggable executors: run tile programs serially or on worker pools.
 
-An executor takes a batch of :class:`~repro.runtime.plan.TileProgram` objects
-(one layer round's worth of concurrent work) and returns one
-:class:`TileResult` per tile, **in tile order**.  Three executors ship with
-the runtime:
+An executor maps a worker function over payloads - one per tile program, or
+per ``(image, tile)`` instance of an inference layer - and returns the
+results **in payload order**.  Three executors ship with the runtime:
 
-* ``serial`` - one tile after another in the calling process.  When handed an
-  :class:`~repro.arch.accelerator.Accelerator` it leases pooled functional
-  APs from it (reset between leases), which keeps large plans allocation-free.
-* ``parallel`` - a process pool (``workers`` processes); the default parallel
-  executor, immune to the GIL, intended for the Python-heavy ``reference``
-  backend and for many-tile plans.
+* ``serial`` - one payload after another in the calling process.  When handed
+  an :class:`~repro.arch.accelerator.Accelerator` lease it reuses pooled
+  functional APs (reset between leases), which keeps large plans
+  allocation-free.
+* ``parallel`` - a process pool (``workers`` processes); immune to the GIL,
+  intended for the Python-heavy ``reference`` backend and for many-tile
+  plans.
 * ``thread`` - a thread pool; lighter start-up, useful when the ``vectorized``
   backend spends its time in NumPy kernels that release the GIL.
 
 Every executor exposes two dispatch surfaces: the order-preserving
-``map_tasks`` (one layer's barrier-synchronized wave) and the asynchronous
-``submit_tasks``/``drain`` pair used by the dependency-driven pipeline
-(:mod:`repro.runtime.pipeline`), which interleaves work items from several
-layers, images and requests on one pool.
+``map_tasks`` - behind :meth:`Executor.map_layer`, the one per-layer call of
+the inference engine's per-instance work, and behind the synthetic
+:class:`~repro.runtime.scheduler.Scheduler` - and the asynchronous
+``submit_tasks``/``drain`` pair of the synthetic
+:class:`~repro.runtime.pipeline.PipelineScheduler`, which interleaves tiles
+of several layers on one pool.  The inference engine's layer waves
+(``batched`` backend) run in the calling thread and never reach an executor.
 
 Determinism: a tile's result depends only on the tile itself (its programs
-and ``input_seed``) and the backend contract guarantees byte-identical
+and inputs) and the backend contract guarantees byte-identical
 :class:`~repro.cam.stats.CAMStats` across backends, so every executor -
 whatever its scheduling order - produces the same per-tile results and the
 same order-independent reductions.
@@ -233,38 +236,16 @@ class Executor:
         raise NotImplementedError
 
     def map_layer(
-        self,
-        fn: Callable,
-        payloads: Sequence,
-        lease: Optional[LeaseFn] = None,
-        wave: Optional[Callable[[Sequence], Optional[List]]] = None,
+        self, fn: Callable, payloads: Sequence, lease: Optional[LeaseFn] = None
     ) -> List:
-        """Dispatch one layer's wave of payloads, preferring a batched path.
+        """Dispatch one layer's per-instance payloads (traced :meth:`map_tasks`).
 
-        ``wave`` (optional) maps the *whole* payload list to its result list
-        in one call - the mega-kernel entry point of the ``batched`` backend,
-        which replaces task fan-out with data parallelism inside NumPy
-        kernels.  A wave that returns ``None`` declines the batch (backend
-        without wave support, or program shapes needing the per-instance
-        path), and the layer falls back to the executor's ordinary
-        order-preserving :meth:`map_tasks` dispatch.  The wave executes in
-        the calling thread on every executor: one host call per layer beats
-        any worker-pool fan-out of interpreted per-tile tasks, and it keeps
-        results, counters and ledgers byte-identical across executors.
+        The single executor entry of the inference engine: every instance of
+        a layer that no wave takes arrives here in one order-preserving call.
         """
         with telemetry.span(
-            "executor.map_layer",
-            executor=self.name,
-            tasks=len(payloads),
-            wave=wave is not None,
+            "executor.map_layer", executor=self.name, tasks=len(payloads)
         ):
-            if wave is not None:
-                results = wave(payloads)
-                if results is not None:
-                    return results
-                telemetry.instant(
-                    "executor.wave_fallback", executor=self.name, tasks=len(payloads)
-                )
             return self.map_tasks(fn, payloads, lease=lease)
 
     def submit_tasks(
@@ -272,8 +253,8 @@ class Executor:
     ) -> List[Future]:
         """Asynchronously apply ``fn`` to payloads, returning one future each.
 
-        The async counterpart of :meth:`map_tasks`, used by the pipelined
-        dispatch engine (:mod:`repro.runtime.pipeline`): callers interleave
+        The async counterpart of :meth:`map_tasks`, used by the synthetic
+        pipelined scheduler (:mod:`repro.runtime.pipeline`): callers interleave
         submissions from several pipeline stages and reap completions in any
         order.  The base implementation executes synchronously in the calling
         thread (the serial semantics) and returns already-settled futures;

@@ -1,4 +1,4 @@
-"""Dependency-driven pipelined dispatch across layers, images and requests.
+"""Dependency-driven pipelined dispatch of the synthetic tile workload.
 
 The layer-synchronous :class:`~repro.runtime.scheduler.Scheduler` fans out
 all tiles of layer L, waits at a barrier, then moves to layer L+1 - which
@@ -7,8 +7,7 @@ layer owns a *disjoint* AP group, but only one group works at a time).  This
 module replaces the barrier chain with a work-item DAG:
 
 * a :class:`PipelineTask` is one dispatchable unit of work (one tile program
-  of one layer - for inference, of one image of one request) with explicit
-  dependencies on other tasks' keys;
+  of one layer) with explicit dependencies on other tasks' keys;
 * :class:`PipelineScheduler` keeps a **topological frontier**: every task
   whose dependencies have completed is submitted to the executor the moment
   a slot frees up, so layer L+1 tiles run on their own resident AP group

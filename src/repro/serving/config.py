@@ -42,7 +42,6 @@ class ClusterConfig:
         seed: weight RNG / plan seed shared by every replica (replicas are
             data-parallel copies of the *same* deployment).
         name: report name; derived from the model when omitted.
-        pipeline: per-replica dispatch discipline for each request wave.
         verify: statically verify each replica's execution plan on deploy.
         replicas: worker processes the resident plan is sharded across.
         queue_depth: bound of the front door's request queue (admission
@@ -76,7 +75,6 @@ class ClusterConfig:
     workers: Optional[int] = None
     seed: int = 0
     name: Optional[str] = None
-    pipeline: bool = False
     verify: bool = False
     replicas: int = 2
     queue_depth: int = 64
@@ -165,6 +163,5 @@ class ClusterConfig:
             workers=self.workers,
             seed=self.seed,
             name=self.display_name,
-            pipeline=self.pipeline,
             verify=self.verify,
         )

@@ -2,7 +2,7 @@
 
 One :class:`SessionConfig` replaces the loose keyword surface of the legacy
 free functions (``specs_for_network`` / ``compile_model`` /
-``build_execution_plan`` / ``run_inference``): everything a
+``build_execution_plan``): everything a
 :class:`~repro.session.session.Session` needs to compile a network once,
 deploy its weights into CAM once and then serve requests is declared up
 front, in one place.
@@ -62,15 +62,6 @@ class SessionConfig:
             weight-resident deploy needs more APs than configured.  When
             disabled, an oversubscribed deploy raises
             :class:`~repro.errors.CapacityError` instead.
-        pipeline: default dispatch discipline of
-            :meth:`~repro.session.session.Session.infer`: ``False`` is the
-            layer-synchronous engine, ``True`` the dependency-driven
-            pipeline (layer L+1 of one image overlaps layer L of the next
-            on disjoint resident AP groups; byte-identical logits/counters).
-            :meth:`~repro.session.session.Session.submit` always pipelines.
-        pipeline_depth: maximum images in flight per pipelined request
-            (bounds peak activation memory); ``min(weight layers, 8)`` when
-            omitted.
         concurrency: serving-pool width for overlapping
             :meth:`~repro.session.session.Session.submit` requests - how
             many client requests may be in flight over the one pinned plan
@@ -104,8 +95,6 @@ class SessionConfig:
     keep_activations: bool = False
     verify: bool = False
     auto_size: bool = True
-    pipeline: bool = False
-    pipeline_depth: Optional[int] = None
     concurrency: int = 2
     trace: Union[bool, str] = False
     metrics: bool = False
@@ -121,10 +110,6 @@ class SessionConfig:
             raise ConfigurationError(f"slices must be >= 1, got {self.slices}")
         if self.layers is not None and self.layers < 1:
             raise ConfigurationError(f"layers must be >= 1, got {self.layers}")
-        if self.pipeline_depth is not None and self.pipeline_depth < 1:
-            raise ConfigurationError(
-                f"pipeline_depth must be >= 1, got {self.pipeline_depth}"
-            )
         if self.concurrency < 1:
             raise ConfigurationError(
                 f"concurrency must be >= 1, got {self.concurrency}"

@@ -16,18 +16,13 @@ operating model explicitly:
    on the accelerator's residency ledger, because the weights stay in CAM
    and only activations move.  :meth:`Session.submit`/:meth:`Session.gather`
    serve *overlapping* requests from multiple clients over the same pinned
-   plan: each request pipelines its images across the resident layer groups
-   (:mod:`repro.runtime.pipeline`) and the ledger stays all-warm however
-   many clients overlap.
+   plan: each runs the same request-scoped, layer-synchronous engine as
+   :meth:`Session.infer`, and the ledger stays all-warm however many
+   clients overlap.
 4. :meth:`Session.report` splits the accounting into ``deploy_cost`` vs
    ``per_request_cost`` and amortizes the former over the served requests;
    :meth:`Session.crosscheck` validates a served request against the
    analytic cost model.
-
-The legacy free functions (``run_inference``, the top-level
-``repro.crosscheck_execution``, the old CLI wiring) re-built and re-leased
-all of this per call; they now delegate here and survive as thin
-deprecation shims.
 """
 
 from __future__ import annotations
@@ -536,8 +531,6 @@ class Session:
                 name=config.display_name,
                 compiled=self.compiled,
                 plan=plan,
-                pipeline=config.pipeline,
-                pipeline_depth=config.pipeline_depth,
             )
         self.state = SessionState.DEPLOYED
         telemetry.complete(
@@ -568,10 +561,7 @@ class Session:
         return self._driver
 
     def infer(
-        self,
-        images: np.ndarray,
-        batch: Optional[int] = None,
-        pipeline: Optional[bool] = None,
+        self, images: np.ndarray, batch: Optional[int] = None
     ) -> InferenceResult:
         """Serve one request: real images through the resident dataflow.
 
@@ -583,15 +573,14 @@ class Session:
                 image).
             batch: optional micro-batch size (images per pass through the
                 pool); chunked and unchunked execution are byte-identical.
-            pipeline: override the session's dispatch discipline for this
-                request (``SessionConfig.pipeline`` otherwise): ``True``
-                pipelines the batch across the resident layer groups,
-                ``False`` runs layer-synchronously.  Byte-identical either
-                way.
+
+        Raises:
+            ModelDefinitionError: for images that do not match the input
+                shape, an empty batch, or NaN/infinite values.
         """
         self._require(SessionState.DEPLOYED)
         driver = self._require_functional()
-        result = driver.run(images, batch=batch, pipeline=pipeline)
+        result = driver.run(images, batch=batch)
         self._requests.append(
             RequestRecord(execution=result.execution, images=result.images)
         )
@@ -606,11 +595,11 @@ class Session:
         """Enqueue one inference request on the live deployment (async).
 
         Up to ``SessionConfig.concurrency`` submitted requests execute
-        *overlapped* over the same pinned plan: each request pipelines its
-        images through the resident layer groups, the executor pool is
-        shared, and the residency ledger stays all-warm - no cold lease or
-        reprogram event is charged however many clients overlap, because
-        the weights never leave CAM.
+        *overlapped* over the same pinned plan, each through the same
+        request-scoped engine run as :meth:`infer` (byte-identical results);
+        the executor pool is shared, and the residency ledger stays
+        all-warm - no cold lease or reprogram event is charged however many
+        clients overlap, because the weights never leave CAM.
 
         Returns a :class:`PendingRequest`; call its ``result()`` or collect
         every outstanding request with :meth:`gather` (which also appends
@@ -630,13 +619,7 @@ class Session:
                 )
             index = self._submitted
             self._submitted += 1
-            # Overlapping requests must not share mutable per-run state, so
-            # submit() always uses the pipelined engine (its request state
-            # is per-call); the layer-synchronous path is reserved for the
-            # sequential infer().
-            future = self._serving_pool.submit(
-                driver.run, images, batch=batch, pipeline=True
-            )
+            future = self._serving_pool.submit(driver.run, images, batch=batch)
             handle = PendingRequest(index=index, _future=future)
             self._pending.append(handle)
         return handle
@@ -670,20 +653,18 @@ class Session:
             raise first_error
         return results
 
-    def run(self, pipeline: Optional[bool] = None) -> PlanExecution:
+    def run(self, pipeline: bool = False) -> PlanExecution:
         """Serve one synthetic request: seeded tile inputs, exact counters.
 
         The deterministic workload of the legacy ``repro run`` path, executed
         against the *resident* deployment: same tile programs, same seeds,
-        but the dispatches are warm.  With ``pipeline`` (default:
-        ``SessionConfig.pipeline``) the plan is walked by the
-        dependency-driven :class:`~repro.runtime.pipeline.PipelineScheduler`
-        instead of the layer-synchronous scheduler - byte-identical counters
-        either way.
+        but the dispatches are warm.  With ``pipeline`` the plan is walked by
+        the dependency-driven
+        :class:`~repro.runtime.pipeline.PipelineScheduler` instead of the
+        layer-synchronous scheduler - byte-identical counters either way.
         """
         self._require(SessionState.DEPLOYED)
-        pipelined = self.config.pipeline if pipeline is None else pipeline
-        scheduler_type = PipelineScheduler if pipelined else Scheduler
+        scheduler_type = PipelineScheduler if pipeline else Scheduler
         scheduler = scheduler_type(
             self.accelerator, executor=self._executor, backend=self.config.backend
         )
@@ -843,8 +824,8 @@ class Session:
 
         Idempotent and exception-safe: calling it twice is a no-op, every
         teardown stage runs even if an earlier one raises, and outstanding
-        :meth:`submit` requests are waited out first - so a failed pipelined
-        run (or a close() racing in-flight requests) can never leak a worker
+        :meth:`submit` requests are waited out first - so a failed request
+        (or a close() racing in-flight requests) can never leak a worker
         pool or a pinned lease.
         """
         if self.state == SessionState.CLOSED:

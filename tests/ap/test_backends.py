@@ -513,7 +513,7 @@ class TestWaveExecution:
     """Layer-wave contract: byte-identity to per-instance runs, or decline.
 
     ``execute_program_wave`` is the mega-kernel entry point the inference
-    engine and ``Executor.map_layer`` dispatch whole layers through; every
+    engine dispatches whole layers through; every
     test here checks it against instances executed one at a time on a fresh
     AP (the exact semantics of pool-worker dispatch).
     """

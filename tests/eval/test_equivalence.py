@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.eval.equivalence import check_inference_equivalence
-from repro.inference import run_inference
 from repro.nn.layers import Flatten, ReLU, TernaryConv2d, TernaryLinear
 from repro.nn.model import Sequential
+from repro.session import Session
 
 
 @pytest.fixture(scope="module")
@@ -23,10 +23,16 @@ def tiny_model():
     return model, (2, 6, 6)
 
 
+def _infer(model, input_shape, images):
+    with Session(model=model, input_shape=input_shape, bits=4) as session:
+        session.compile().deploy()
+        return session.infer(images)
+
+
 def test_consistent_run_reports_identical(tiny_model):
     model, input_shape = tiny_model
     images = np.random.default_rng(0).uniform(0.0, 1.0, size=(2,) + input_shape)
-    result = run_inference(model, images, bits=4)
+    result = _infer(model, input_shape, images)
     verdict = check_inference_equivalence(model, images, result, bits=4)
     assert verdict.consistent
     assert verdict.logits_identical
@@ -40,7 +46,7 @@ def test_divergence_is_reported(tiny_model):
     """A corrupted result must be flagged with a localised diff magnitude."""
     model, input_shape = tiny_model
     images = np.random.default_rng(1).uniform(0.0, 1.0, size=(1,) + input_shape)
-    result = run_inference(model, images, bits=4)
+    result = _infer(model, input_shape, images)
     result.logits = result.logits + 0.25
     verdict = check_inference_equivalence(model, images, result, bits=4)
     assert not verdict.consistent

@@ -9,6 +9,7 @@ narrow channels keep exact (every-slice) functional simulation at test speed.
 import numpy as np
 import pytest
 
+from repro.inference.activations import normalize_images
 from repro.nn.layers import (
     BatchNorm2d,
     Flatten,
@@ -20,6 +21,7 @@ from repro.nn.layers import (
 from repro.nn.model import Sequential
 from repro.nn.models.resnet import build_resnet18
 from repro.nn.models.vgg import build_vgg9
+from repro.session import Session
 
 
 @pytest.fixture(scope="module")
@@ -60,3 +62,22 @@ def resnet18_narrow():
     """The resnet18 topology (stem, 4 stages, shortcuts) at base width 4."""
     model = build_resnet18(num_classes=10, sparsity=0.8, rng=0, base_width=4)
     return model, (3, 32, 32)
+
+
+@pytest.fixture(scope="module")
+def serve():
+    """One request through a fresh weight-resident session.
+
+    ``serve(model, images, batch=None, **config)`` compiles, deploys, serves
+    ``images`` with :meth:`Session.infer` and closes; a module tree's input
+    shape is taken from ``images`` unless ``input_shape`` is given.
+    """
+
+    def run(model, images, batch=None, **config):
+        if config.get("input_shape") is None and not isinstance(model, str):
+            config["input_shape"] = normalize_images(images)[1]
+        with Session(model=model, **config) as session:
+            session.compile().deploy()
+            return session.infer(images, batch=batch)
+
+    return run

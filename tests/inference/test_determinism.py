@@ -12,8 +12,6 @@ mega-kernel per layer) against the per-tile baselines.
 import numpy as np
 import pytest
 
-from repro.inference import run_inference
-
 EXECUTORS = ("serial", "parallel", "thread")
 BACKENDS = ("reference", "vectorized", "batched")
 
@@ -25,9 +23,9 @@ def tiny_images(tiny_cnn, images_rng):
 
 
 @pytest.fixture(scope="module")
-def baseline(tiny_cnn, tiny_images):
+def baseline(serve, tiny_cnn, tiny_images):
     model, _ = tiny_cnn
-    return run_inference(
+    return serve(
         model, tiny_images, bits=4, executor="serial", backend="vectorized"
     )
 
@@ -35,10 +33,10 @@ def baseline(tiny_cnn, tiny_images):
 @pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_logits_and_stats_byte_identical(
-    tiny_cnn, tiny_images, baseline, executor, backend
+    serve, tiny_cnn, tiny_images, baseline, executor, backend
 ):
     model, _ = tiny_cnn
-    result = run_inference(
+    result = serve(
         model, tiny_images, bits=4, executor=executor, workers=2, backend=backend
     )
     assert np.array_equal(result.logits, baseline.logits)
@@ -49,21 +47,21 @@ def test_logits_and_stats_byte_identical(
         assert left.checksum == right.checksum
 
 
-def test_executors_agree_on_residual_topology(resnet18_narrow, images_rng):
+def test_executors_agree_on_residual_topology(serve, resnet18_narrow, images_rng):
     """The layer barrier chain holds for residual models too."""
     model, input_shape = resnet18_narrow
     images = images_rng.uniform(0.0, 1.0, size=(1,) + input_shape)
-    serial = run_inference(model, images, bits=4, executor="serial")
-    threaded = run_inference(model, images, bits=4, executor="thread", workers=4)
+    serial = serve(model, images, bits=4, executor="serial")
+    threaded = serve(model, images, bits=4, executor="thread", workers=4)
     assert np.array_equal(serial.logits, threaded.logits)
     assert serial.execution.total_stats == threaded.execution.total_stats
 
 
-def test_micro_batch_interleaving_deterministic(tiny_cnn, tiny_images):
+def test_micro_batch_interleaving_deterministic(serve, tiny_cnn, tiny_images):
     """Chunked pool execution reproduces the one-shot batch exactly."""
     model, _ = tiny_cnn
-    whole = run_inference(model, tiny_images, bits=4, executor="thread", workers=2)
-    chunked = run_inference(
+    whole = serve(model, tiny_images, bits=4, executor="thread", workers=2)
+    chunked = serve(
         model, tiny_images, bits=4, executor="thread", workers=2, batch=1
     )
     assert np.array_equal(whole.logits, chunked.logits)

@@ -6,88 +6,90 @@ RTM-AP computes exact integers, so the functional dataflow's logits must be
 residual shortcuts, strides and pooling stages of the benchmark topologies.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.ap.backends.batched import execute_program_wave
 from repro.errors import CompilationError
-from repro.inference import (
-    BatchedInference,
-    quantized_reference_forward,
-    run_inference,
-)
+from repro.inference import engine
+from repro.inference import BatchedInference, quantized_reference_forward
 from repro.perf.model import crosscheck_execution
 
 
 class TestLogitsMatchReference:
-    def test_vgg9_topology_byte_identical(self, vgg9_narrow, images_rng):
+    def test_vgg9_topology_byte_identical(self, serve, vgg9_narrow, images_rng):
         model, input_shape = vgg9_narrow
         images = images_rng.uniform(0.0, 1.0, size=(2,) + input_shape)
         reference = quantized_reference_forward(model, images, bits=4)
-        result = run_inference(model, images, bits=4)
+        result = serve(model, images, bits=4)
         assert result.logits.shape == (2, 10)
         assert np.array_equal(result.logits, reference)
 
-    def test_resnet18_topology_byte_identical(self, resnet18_narrow, images_rng):
+    def test_resnet18_topology_byte_identical(
+        self, serve, resnet18_narrow, images_rng
+    ):
         model, input_shape = resnet18_narrow
         images = images_rng.uniform(0.0, 1.0, size=(2,) + input_shape)
         reference = quantized_reference_forward(
             model, images, bits=4, input_shape=input_shape
         )
-        result = run_inference(model, images, bits=4, input_shape=input_shape)
+        result = serve(model, images, bits=4, input_shape=input_shape)
         assert result.logits.shape == (2, 10)
         assert np.array_equal(result.logits, reference)
 
-    def test_8bit_activations(self, tiny_cnn, images_rng):
+    def test_8bit_activations(self, serve, tiny_cnn, images_rng):
         model, input_shape = tiny_cnn
         images = images_rng.uniform(0.0, 1.0, size=(1,) + input_shape)
         reference = quantized_reference_forward(model, images, bits=8)
-        result = run_inference(model, images, bits=8)
+        result = serve(model, images, bits=8)
         assert np.array_equal(result.logits, reference)
 
-    def test_registry_name_entry_point(self, images_rng):
-        """run_inference accepts a registry model name (width-scaled)."""
+    def test_registry_name_entry_point(self, serve, images_rng):
+        """A session accepts a registry model name (width-scaled)."""
         images = images_rng.uniform(0.0, 1.0, size=(1, 3, 32, 32))
-        result = run_inference(
+        result = serve(
             "vgg9", images, bits=4, width=1 / 32, sparsity=0.85, rng=0
         )
         assert result.model == "vgg9"
         assert result.logits.shape == (1, 10)
 
-    def test_single_unbatched_image(self, tiny_cnn, images_rng):
+    def test_single_unbatched_image(self, serve, tiny_cnn, images_rng):
         model, input_shape = tiny_cnn
         image = images_rng.uniform(0.0, 1.0, size=input_shape)
-        result = run_inference(model, image, bits=4)
+        result = serve(model, image, bits=4)
         assert result.images == 1
         assert result.logits.shape == (1, 10)
 
 
 class TestBatchedExecution:
-    def test_batch_equals_per_image(self, tiny_cnn, images_rng):
+    def test_batch_equals_per_image(self, serve, tiny_cnn, images_rng):
         """Per-image quantization makes the batch a set of independent streams."""
         model, input_shape = tiny_cnn
         images = images_rng.uniform(0.0, 1.0, size=(3,) + input_shape)
-        batched = run_inference(model, images, bits=4)
+        batched = serve(model, images, bits=4)
         one_by_one = np.concatenate(
-            [run_inference(model, images[i], bits=4).logits for i in range(3)]
+            [serve(model, images[i], bits=4).logits for i in range(3)]
         )
         assert np.array_equal(batched.logits, one_by_one)
 
-    def test_micro_batching_byte_identical(self, tiny_cnn, images_rng):
+    def test_micro_batching_byte_identical(self, serve, tiny_cnn, images_rng):
         model, input_shape = tiny_cnn
         images = images_rng.uniform(0.0, 1.0, size=(4,) + input_shape)
-        whole = run_inference(model, images, bits=4)
-        chunked = run_inference(model, images, bits=4, batch=2)
+        whole = serve(model, images, bits=4)
+        chunked = serve(model, images, bits=4, batch=2)
         assert np.array_equal(whole.logits, chunked.logits)
         assert whole.execution.total_stats == chunked.execution.total_stats
         assert whole.checksum == chunked.checksum
 
-    def test_counters_scale_with_batch(self, tiny_cnn, images_rng):
+    def test_counters_scale_with_batch(self, serve, tiny_cnn, images_rng):
         """Search phases are data-independent: N images charge exactly N x."""
         model, input_shape = tiny_cnn
-        one = run_inference(
+        one = serve(
             model, images_rng.uniform(0.0, 1.0, size=(1,) + input_shape), bits=4
         )
-        three = run_inference(
+        three = serve(
             model, images_rng.uniform(0.0, 1.0, size=(3,) + input_shape), bits=4
         )
         assert (
@@ -103,7 +105,7 @@ class TestBatchedWaveOnTopologies:
     on the tiny CNN; these runs add the benchmark topologies - strides,
     residual shortcuts and pooling stages - where the layer waves span many
     heterogeneous tiles per layer, and sweep the batched backend across
-    executors and pipelined dispatch against one vectorized serial baseline.
+    executors against one vectorized serial baseline.
     """
 
     @staticmethod
@@ -126,8 +128,6 @@ class TestBatchedWaveOnTopologies:
         modes = [
             {"executor": "serial"},
             {"executor": "thread", "workers": 2},
-            {"executor": "serial", "pipeline": True},
-            {"executor": "thread", "workers": 2, "pipeline": True},
         ]
         for mode in modes:
             batched = self._run(
@@ -148,20 +148,20 @@ class TestBatchedWaveOnTopologies:
 
 
 class TestHostDataflowModes:
-    """Wave-native vs per-image host staging: one dataflow, two schedules.
+    """Staged waves vs per-(image, tile) dispatch: one dataflow, two routes.
 
-    ``REPRO_HOST_DATAFLOW`` selects how the host feeds the batched backend -
-    fused quantize/lower/stage with operand views (``wave``, the default) or
-    the legacy per-(image, tile) payload fan-out (``per-image``).  Both must
-    produce byte-identical logits, checksums and per-layer CAMStats on every
-    benchmark topology and executor.
+    Every layer stages its operands once; the ``batched`` backend executes
+    each tile group as one wave, and every instance no wave takes - all of
+    them on ``vectorized``, those of a declined wave on ``batched`` - goes
+    to the executor indexed out of the same staged views.  Every mix of the
+    two routes must produce byte-identical logits, checksums and per-layer
+    CAMStats on every benchmark topology and executor.
     """
 
     @staticmethod
-    def _run(model, input_shape, images, mode, monkeypatch, **kwargs):
-        monkeypatch.setenv("REPRO_HOST_DATAFLOW", mode)
+    def _run(model, input_shape, images, backend, **kwargs):
         driver = BatchedInference(
-            model, input_shape, bits=4, backend="batched", **kwargs
+            model, input_shape, bits=4, backend=backend, **kwargs
         )
         try:
             return driver.run(images)
@@ -176,32 +176,35 @@ class TestHostDataflowModes:
     ):
         model, input_shape = request.getfixturevalue(fixture_name)
         images = images_rng.uniform(0.0, 1.0, size=(3,) + input_shape)
-        legacy = self._run(model, input_shape, images, "per-image", monkeypatch)
-        for mode in (
-            {"executor": "serial"},
-            {"executor": "thread", "workers": 2},
-        ):
-            wave = self._run(
-                model, input_shape, images, "wave", monkeypatch, **mode
+        per_instance = self._run(model, input_shape, images, "vectorized")
+        runs = {
+            f"wave {mode}": self._run(
+                model, input_shape, images, "batched", **mode
             )
-            label = f"wave {mode}"
-            assert np.array_equal(wave.logits, legacy.logits), label
-            assert wave.checksum == legacy.checksum, label
+            for mode in ({"executor": "serial"}, {"executor": "thread", "workers": 2})
+        }
+        calls = itertools.count()
+
+        def every_other_declines(*args, **kwargs):
+            if next(calls) % 2:
+                return None
+            return execute_program_wave(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "execute_program_wave", every_other_declines)
+        runs["half declined"] = self._run(model, input_shape, images, "batched")
+        assert next(calls) > 2
+        for label, wave in runs.items():
+            assert np.array_equal(wave.logits, per_instance.logits), label
+            assert wave.checksum == per_instance.checksum, label
             assert (
-                wave.execution.total_stats == legacy.execution.total_stats
+                wave.execution.total_stats == per_instance.execution.total_stats
             ), label
             for left, right in zip(
-                wave.execution.layers, legacy.execution.layers
+                wave.execution.layers, per_instance.execution.layers
             ):
                 assert left.stats == right.stats, (
                     f"{label}: layer {left.name} diverged"
                 )
-
-    def test_unknown_mode_rejected(self, tiny_cnn, monkeypatch):
-        model, input_shape = tiny_cnn
-        monkeypatch.setenv("REPRO_HOST_DATAFLOW", "sideways")
-        with pytest.raises(Exception):
-            BatchedInference(model, input_shape, bits=4, backend="batched")
 
 
 class TestRuntimeIntegration:
@@ -235,10 +238,10 @@ class TestRuntimeIntegration:
         assert sum(cost.bits for cost in movement.values()) > 0
         assert result.store.total_activation_bits > 0
 
-    def test_activation_store_buffers(self, tiny_cnn, images_rng):
+    def test_activation_store_buffers(self, serve, tiny_cnn, images_rng):
         model, input_shape = tiny_cnn
         images = images_rng.uniform(0.0, 1.0, size=(2,) + input_shape)
-        result = run_inference(model, images, bits=4, keep_activations=True)
+        result = serve(model, images, bits=4, keep_activations=True)
         layers = result.store.layers()
         assert len(layers) == 3  # two convs + fc
         for entry in layers:

@@ -57,24 +57,24 @@ def test_resnet18_full_width_session_batched(image_rng):
     assert np.array_equal(result.logits, expected)
 
 
-def test_vgg9_full_width_host_dataflow_modes(image_rng, monkeypatch):
-    """Wave-native vs per-image host staging at full width: byte-identical
-    logits, checksum and aggregate CAMStats on the same driver workload."""
+def test_vgg9_full_width_host_dataflow_modes(image_rng):
+    """Staged waves (``batched``) vs per-(image, tile) dispatch
+    (``vectorized``) at full width: byte-identical logits, checksum and
+    aggregate CAMStats on the same driver workload."""
     model = build_vgg9(num_classes=10, input_size=32, sparsity=0.85, rng=0)
     images = image_rng.uniform(0.0, 1.0, size=(2,) + INPUT_SHAPE)
     results = {}
-    for mode in ("per-image", "wave"):
-        monkeypatch.setenv("REPRO_HOST_DATAFLOW", mode)
+    for backend in ("vectorized", "batched"):
         driver = BatchedInference(
-            model, INPUT_SHAPE, bits=4, backend="batched", name="vgg9-full"
+            model, INPUT_SHAPE, bits=4, backend=backend, name="vgg9-full"
         )
         try:
-            results[mode] = driver.run(images)
+            results[backend] = driver.run(images)
         finally:
             driver.close()
-    wave, legacy = results["wave"], results["per-image"]
-    assert np.array_equal(wave.logits, legacy.logits)
-    assert wave.checksum == legacy.checksum
-    assert wave.execution.total_stats == legacy.execution.total_stats
+    wave, per_instance = results["batched"], results["vectorized"]
+    assert np.array_equal(wave.logits, per_instance.logits)
+    assert wave.checksum == per_instance.checksum
+    assert wave.execution.total_stats == per_instance.execution.total_stats
     expected = quantized_reference_forward(model, images, bits=4)
     assert np.array_equal(wave.logits, expected)

@@ -235,7 +235,6 @@ class TestResidentCapacityReporting:
             accelerator=accelerator,
             compiled=compiled,
             plan=plan,
-            pipeline=True,
         )
         try:
             warm_before = accelerator.residency

@@ -17,6 +17,7 @@ from repro.nn.layers import (
     TernaryLinear,
 )
 from repro.nn.model import Sequential
+from repro.nn.models.resnet import build_resnet18
 
 
 @pytest.fixture(scope="module")
@@ -41,3 +42,10 @@ def tiny_cnn():
         name="tinycnn",
     )
     return model, (3, 8, 8)
+
+
+@pytest.fixture(scope="module")
+def resnet18_narrow():
+    """The resnet18 topology (stem, 4 stages, shortcuts) at base width 4."""
+    model = build_resnet18(num_classes=10, sparsity=0.8, rng=0, base_width=4)
+    return model, (3, 32, 32)

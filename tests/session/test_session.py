@@ -11,8 +11,11 @@ The acceptance surface of the session redesign:
   amortizes the former,
 * error paths are explicit: ``infer()`` before ``deploy()`` raises
   :class:`~repro.errors.SessionStateError`, slice-sampled compilations are
-  rejected for functional inference, and an oversubscribed resident deploy
-  raises :class:`~repro.errors.CapacityError`.
+  rejected for functional inference, an oversubscribed resident deploy
+  raises :class:`~repro.errors.CapacityError`, and malformed images (empty
+  batches, NaN/inf values) raise
+  :class:`~repro.errors.ModelDefinitionError` from ``infer()`` and
+  ``submit()`` alike.
 """
 
 import numpy as np
@@ -20,7 +23,12 @@ import pytest
 
 from repro.arch.accelerator import Accelerator
 from repro.arch.config import ArchitectureConfig
-from repro.errors import CapacityError, ConfigurationError, SessionStateError
+from repro.errors import (
+    CapacityError,
+    ConfigurationError,
+    ModelDefinitionError,
+    SessionStateError,
+)
 from repro.inference.reference import quantized_reference_forward
 from repro.session import Session, SessionConfig, SessionState
 
@@ -306,7 +314,49 @@ class TestReport:
         assert "warm dispatches" in text
 
 
+def _serve_one(session, images, path):
+    if path == "submit":
+        return session.submit(images).result(timeout=120)
+    return session.infer(images)
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("path", ["infer", "submit"])
+    def test_empty_batch_raises_typed_error(self, tiny_cnn, path):
+        _, input_shape = tiny_cnn
+        with make_session(tiny_cnn) as session:
+            session.compile().deploy()
+            with pytest.raises(ModelDefinitionError, match="at least one image"):
+                _serve_one(session, np.zeros((0,) + input_shape), path)
+            assert session.requests == []
+
+    @pytest.mark.parametrize("path", ["infer", "submit"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_images_raise_typed_error(
+        self, tiny_cnn, images_rng, path, bad
+    ):
+        _, input_shape = tiny_cnn
+        images = images_rng.uniform(0, 1, (2,) + input_shape)
+        images[1, 0, 2, 3] = bad
+        with make_session(tiny_cnn) as session:
+            session.compile().deploy()
+            with pytest.raises(ModelDefinitionError, match="NaN or infinite"):
+                _serve_one(session, images, path)
+            # The session still serves well-formed requests afterwards.
+            result = _serve_one(session, images[:1], path)
+        assert result.images == 1
+
+    def test_reference_forward_shares_the_checks(self, tiny_cnn):
+        model, input_shape = tiny_cnn
+        with pytest.raises(ModelDefinitionError, match="at least one image"):
+            quantized_reference_forward(
+                model, np.zeros((0,) + input_shape), input_shape=input_shape
+            )
+        with pytest.raises(ModelDefinitionError, match="NaN or infinite"):
+            quantized_reference_forward(
+                model, np.full((1,) + input_shape, np.nan), input_shape=input_shape
+            )
+
     def test_oversubscribed_deploy_raises(self, tiny_cnn):
         arch = ArchitectureConfig(aps_per_tile=2, tiles_per_bank=1, num_banks=1)
         with make_session(tiny_cnn, arch=arch, auto_size=False) as session:
@@ -376,48 +426,6 @@ class TestErrorPaths:
             SessionConfig(slices=0)
         with pytest.raises(ConfigurationError):
             SessionConfig(layers=0)
-
-
-class TestDeprecationShims:
-    def test_run_inference_warns_and_matches_session(self, tiny_cnn, images_rng):
-        from repro.inference import run_inference
-
-        model, input_shape = tiny_cnn
-        images = images_rng.uniform(0, 1, (2,) + input_shape)
-        with pytest.warns(DeprecationWarning, match="Session"):
-            legacy = run_inference(model, images, bits=4)
-        with make_session(tiny_cnn) as session:
-            session.compile().deploy()
-            modern = session.infer(images)
-        # Byte-identical logits and CAM counters between old and new paths.
-        assert np.array_equal(legacy.logits, modern.logits)
-        assert legacy.execution.total_stats == modern.execution.total_stats
-        assert legacy.checksum == modern.checksum
-
-    def test_top_level_crosscheck_execution_warns(self, tiny_cnn, images_rng):
-        import repro
-
-        model, input_shape = tiny_cnn
-        images = images_rng.uniform(0, 1, (1,) + input_shape)
-        with make_session(tiny_cnn) as session:
-            session.compile().deploy()
-            result = session.infer(images)
-            with pytest.warns(DeprecationWarning, match="Session.crosscheck"):
-                check = repro.crosscheck_execution(
-                    session.plan, result.execution, images=result.images
-                )
-        assert check.consistent, check.describe()
-
-    def test_registry_name_still_works_through_shim(self, images_rng):
-        from repro.inference import run_inference
-
-        images = images_rng.uniform(0, 1, (1, 3, 32, 32))
-        with pytest.warns(DeprecationWarning):
-            result = run_inference(
-                "vgg9", images, bits=4, width=1 / 32, sparsity=0.85, rng=0
-            )
-        assert result.model == "vgg9"
-        assert result.logits.shape == (1, 10)
 
 
 class TestServeHelper:

@@ -85,7 +85,7 @@ def test_process_executor_ships_worker_spans(tiny_cnn):
     assert all(tile.end_us <= request.end_us + 1.0 for tile in tiles)
 
 
-def test_pipelined_trace_places_layers_on_ap_group_tracks(tiny_cnn):
+def test_overlapping_requests_place_layers_on_ap_group_tracks(tiny_cnn):
     model, input_shape = tiny_cnn
     rng = np.random.default_rng(9)
     images = rng.random((3,) + input_shape, dtype=np.float32)
@@ -94,14 +94,17 @@ def test_pipelined_trace_places_layers_on_ap_group_tracks(tiny_cnn):
         input_shape=input_shape,
         executor="thread",
         workers=2,
-        pipeline=True,
+        concurrency=2,
         trace=True,
     ) as session:
         session.compile().deploy()
-        baseline = session.infer(images, pipeline=False)
-        pipelined = session.infer(images, pipeline=True)
+        baseline = session.infer(images)
+        session.submit(images)
+        session.submit(images)
+        overlapped = session.gather()
         events = session.trace_events()
-    assert pipelined.logits.tobytes() == baseline.logits.tobytes()
+    for result in overlapped:
+        assert result.logits.tobytes() == baseline.logits.tobytes()
     tracks = {
         event.track
         for event in events

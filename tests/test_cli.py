@@ -59,18 +59,18 @@ class TestParser:
         assert arguments.executor == "serial"
         assert arguments.seed == 0
         assert arguments.concurrency == 1
-        assert arguments.pipeline is False
         assert arguments.json is False
 
     def test_serve_pipeline_flags(self):
+        """Overlap comes from --concurrency alone; --pipeline is gone."""
         arguments = build_parser().parse_args(
-            ["serve", "--concurrency", "3", "--pipeline", "--json"]
+            ["serve", "--concurrency", "3", "--json"]
         )
         assert arguments.concurrency == 3
-        assert arguments.pipeline is True
         assert arguments.json is True
-        infer_arguments = build_parser().parse_args(["infer", "--pipeline"])
-        assert infer_arguments.pipeline is True
+        for command in ("infer", "serve", "trace"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--pipeline"])
 
     def test_serve_flags(self):
         arguments = build_parser().parse_args(
@@ -229,15 +229,6 @@ class TestCommands:
         assert "open-loop Poisson load" in output
         assert "per-replica residency" in output
         assert "2/2 live" in output
-
-    def test_infer_command_pipelined(self, capsys):
-        """--pipeline serves the batch through the dependency-driven engine
-        and still passes both crosschecks (byte-identical logits)."""
-        assert main(["infer", "--model", "vgg9", "--width", "0.03125",
-                     "--images", "2", "--seed", "3", "--pipeline"]) == 0
-        output = capsys.readouterr().out
-        assert "logits byte-identical to the NumPy reference" in output
-        assert "cost model consistent" in output
 
     def test_infer_command_exits_nonzero_on_mismatch(self, monkeypatch):
         """The crosscheck is a real gate: a logits mismatch fails the run."""
