@@ -19,10 +19,10 @@ the execution-plan runtime.  Three gates:
   on a width-scaled vgg9 batch (serial executor, identical logits and
   CAMStats).  This is the headline speedup of the layer-wave refactor: the
   wave replaces ``images x tiles`` Python instruction loops with one batch
-  of NumPy calls per instruction.  A traced rerun of the wave records its
-  host staging vs device split (``host_s``/``device_s``, from the
-  ``host.*`` and ``device.layer`` telemetry spans) in
-  ``BENCH_inference.json``.
+  of NumPy calls per lockstep group of instructions.  A traced rerun of
+  the wave records its host staging vs device split (``host_s`` /
+  ``device_s``, from the ``host.*`` and ``device.layer`` telemetry spans)
+  in ``BENCH_inference.json``.
 
 The full-width ResNet-18 run additionally records how long one real CIFAR-10
 sized image takes end to end on the batched backend - the "full models in

@@ -18,10 +18,11 @@ Available backends:
   The default.
 * ``batched`` - the vectorized semantics plus whole-layer *wave* execution
   (:func:`repro.ap.backends.batched.execute_program_wave`): the inference
-  engine stacks every (image, row tile) instance of a layer into one bit
-  tensor and evaluates the shared instruction stream once - one batch of
-  NumPy calls per instruction for the whole layer.  The fastest choice for
-  batched inference; per-instruction behaviour is identical to
+  engine stacks every (image, row tile) instance of a layer as packed
+  nanowire words and evaluates the shared instruction stream once, the
+  tile's slice programs side by side in lockstep - one batch of NumPy
+  calls per group of instructions for the whole layer.  The fastest
+  choice for batched inference; per-instruction behaviour is identical to
   ``vectorized``.
 
 The default can be overridden with the ``REPRO_AP_BACKEND`` environment

@@ -1,21 +1,41 @@
-"""Mega-kernel batched backend: one NumPy dispatch per instruction across a
-whole layer's (images x tiles) wave, on packed nanowire words.
+"""Mega-kernel batched backend: a whole layer's (images x tiles) wave runs as
+program-lockstep blocks on packed nanowire words.
 
 The :class:`~repro.ap.backends.vectorized.VectorizedBackend` removed the
 per-*bit* interpretation cost but still executes one ``(image, tile)`` AP at a
 time, so a layer of ``N`` images times ``T`` row tiles pays ``N x T`` Python
 instruction loops.  Those instances are perfectly homogeneous: every row tile
 of one channel group shares the *same* compiled slice programs, only the
-activation rows differ.  This module exploits that: it stacks the instances
-and evaluates the shared instruction stream once, so each AP instruction
-becomes a single batch of NumPy kernel calls for the whole wave - the
-mega-kernel.
+activation rows differ.  This module stacks the instances and evaluates the
+shared instruction stream once for the whole wave - the mega-kernel.
 
 The wave state mirrors the hardware's word-parallel, bit-serial layout: each
 column of each row is one RTM nanowire of up to 64 domains, held as one
-``uint64`` word (bit ``d`` is domain ``d``) in a ``(columns, instances,
-rows)`` tensor.  A technology with more than 64 domains per nanowire
-declines the wave.
+``uint64`` word (bit ``d`` is domain ``d``).  A technology with more than 64
+domains per nanowire declines the wave.
+
+Program lockstep.  A tile's slice programs are independent adder trees, one
+per output-channel slice, that the AP runs back to back.  Lowering tracks,
+per column, which domains a program has defined so far (its loads, clears
+and written destinations; the upper bits of a narrow extra destination stay
+undefined unless they already were).  A *self-contained* program reads only
+domains it defined itself, so nothing its predecessors left on the AP can
+reach its results: it runs in its own zeroed slice of a ``(block x columns,
+instances, rows)`` word tensor, side by side with the other programs of its
+block.  The schedule groups the block's instructions by kind (arithmetic,
+copy, clear), always taking the next instruction of each program it
+advances; the four add/sub LUTs share arithmetic groups through
+per-instruction pass flips and signs, padded to five passes.  The kernel
+executes each group - one instruction from each of up to ``block``
+programs - with one set of NumPy calls on gathered ``(programs, instances,
+rows)`` words, then scatters the results back.  A program that does read
+stale state starts a new block whose first slice is seeded with the true AP
+state before it, which the kernel composes from the earlier slices while a
+later block needs it.  The block width follows from the tile's static shape
+(:data:`_BLOCK_WORDS` words of block state per instance), so each tile's
+schedule is built once, at deploy, by :func:`wave_staging_plan`.  Instances
+run in chunks under one byte budget (:data:`_WAVE_CHUNK_BYTES`) covering the
+block state, the gathered operand loads and the minterm temporaries.
 
 Equivalence contract (same as every backend, see :mod:`repro.ap.backends.base`):
 
@@ -31,11 +51,12 @@ Equivalence contract (same as every backend, see :mod:`repro.ap.backends.base`):
   one initial ``(carry, b, a)`` state and each state fires at most one pass
   (checked when a program is lowered; a LUT without that property declines).
   So one minterm word per pass, ``(carry ^ kc) & (b ^ kb) & (a ^ ka)``, marks
-  the bits whose rows that pass writes.  Per instruction the hot loop records
-  only the OR over rows of each pass word (the *fire words*) and the number of
-  matched bits (``np.bitwise_count``).  After each chunk, one replay derives
-  ``write_phases`` and ``written_bits`` from those records, and replays the
-  alignment events of the whole program sequence for ``lockstep_shift_steps``
+  the bits whose rows that pass writes.  Per instruction the kernel records
+  only the OR over rows of each pass word (the *fire words*) and the number
+  of matched bits (``np.bitwise_count``), in the instruction's slot of the
+  program sequence.  After each chunk, one replay derives ``write_phases``
+  and ``written_bits`` from those records, and replays the alignment events
+  of the whole program sequence for ``lockstep_shift_steps``
   (``track_shifts`` is always ``lockstep x rows``).  Source, carry, copy and
   clear runs are data-independent and precomputed per program; an
   out-of-place destination run spans the first to the last set bit of its
@@ -44,9 +65,11 @@ Equivalence contract (same as every backend, see :mod:`repro.ap.backends.base`):
   reference interpreter.
 
 Operand input takes two forms: one ``{name: row vector}`` dict per
-(instance, program), gathered and validated per instance, or
+(instance, program), validated and stacked per operand up front, or
 :class:`StagedWaveInputs`, where the host stages each operand as one
 ``(instances, rows)`` integer batch (views of one lowered tensor per layer).
+Per block, the kernel gathers the block's operand batches in one stack,
+range-checks them in one vectorized test and places them in one scatter.
 Both forms produce byte-identical results and counters.
 
 The wave entry point :func:`execute_program_wave` is conservative: any
@@ -57,8 +80,8 @@ geometry the word layout cannot hold, or any malformed input batch returns
 ordinary backends raise the proper errors.  Every such decline goes through
 :func:`_decline` (a debug log line plus a ``backend.wave_decline`` trace
 instant).  :func:`wave_staging_plan` lets the host pre-flight (and
-pre-lower) a tile's programs at deploy time, so serving requests never pay
-the lowering cost.
+pre-lower and pre-schedule) a tile's programs at deploy time, so serving
+requests never pay the lowering cost.
 
 :class:`BatchedBackend` itself subclasses the vectorized backend, so
 ``backend="batched"`` behaves identically to ``"vectorized"`` for ordinary
@@ -70,7 +93,6 @@ staged operands.
 
 from __future__ import annotations
 
-import functools
 from array import array
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -93,9 +115,14 @@ logger = get_logger(__name__)
 #: Bits of one nanowire word; technologies with more domains decline.
 _WORD_BITS = 64
 
-#: Soft cap on one wave chunk's words and temporaries; instances beyond it
-#: are processed in equivalence-preserving chunks (instances are independent).
-_MAX_WAVE_STATE_BYTES = 256 * 1024 * 1024
+#: Words of lockstep block state per instance: a ``rows x columns`` tile runs
+#: ``_BLOCK_WORDS // (rows * columns)`` programs side by side (at least one).
+_BLOCK_WORDS = 16384
+
+#: Byte budget of one wave chunk - block state, gathered operand loads,
+#: minterm temporaries and output rows.  Instances beyond it run in
+#: equivalence-preserving chunks (instances are independent).
+_WAVE_CHUNK_BYTES = 8 * 1024 * 1024
 
 #: Most passes of any Table-I LUT: the width of one instruction's fire record.
 _MAX_PASSES = 5
@@ -106,6 +133,17 @@ _OPCODE_META: Dict[APOpcode, Tuple[bool, bool, Optional[str]]] = {
     opcode: (opcode.is_arithmetic, opcode.is_inplace, opcode.lut_kind)
     for opcode in APOpcode
 }
+
+#: ``_LOW[w]``: the low ``w`` bits set, for every width a word can hold.
+_LOW = np.array([(1 << width) - 1 for width in range(_WORD_BITS + 1)], np.uint64)
+
+#: Signed range of a ``w``-bit load, by width (the vectorized range check).
+_SIGNED_MIN = np.array(
+    [0] + [min_signed_value(width) for width in range(1, _WORD_BITS)], np.int64
+)
+_SIGNED_MAX = np.array(
+    [0] + [max_signed_value(width) for width in range(1, _WORD_BITS)], np.int64
+)
 
 
 class BatchedBackend(VectorizedBackend):
@@ -119,184 +157,87 @@ class BatchedBackend(VectorizedBackend):
 
 
 # ----------------------------------------------------------------------
-# Per-LUT pass metadata (one instance per LUT kind, shared by every op)
+# Per-LUT pass tables (shared by every arithmetic record)
 # ----------------------------------------------------------------------
-class _LutWords:
-    """The minterm form of one Table-I LUT.
+def _lut_states(kind: str, inplace: bool) -> Optional[np.ndarray]:
+    """The initial ``(carry, b, a)`` state each pass of a LUT matches, or
+    ``None`` when the LUT has no minterm form.
 
-    ``flip_c/flip_b/flip_a`` are ``(passes, 1, 1)`` int64 masks: ``-1``
-    where the pass searches a 0 bit (the literal is complemented), ``0``
-    where it searches a 1 bit.  ``x ^ flip`` is then the literal, and the
-    AND of the three literals is the pass's minterm word.
+    The form exists when every pass matches exactly one state and each state
+    fires at most one pass (the truth tensor is a partial permutation); then
+    a pass fires exactly on its state's bits.
     """
-
-    __slots__ = ("add", "passes", "flip_c", "flip_b", "flip_a")
-
-    def __init__(self, add: bool, states: np.ndarray) -> None:
-        self.add = add
-        self.passes = len(states)
-        shape = (self.passes, 1, 1)
-        self.flip_c = (((states >> 2) & 1) - 1).reshape(shape)
-        self.flip_b = (((states >> 1) & 1) - 1).reshape(shape)
-        self.flip_a = ((states & 1) - 1).reshape(shape)
+    truth = lut_truth_matrix(kind, inplace)
+    if (truth.sum(axis=0) == 1).all() and (truth.sum(axis=1) <= 1).all():
+        return truth.argmax(axis=0)
+    return None
 
 
-_LUT_WORDS: Dict[Tuple[str, bool], Optional[_LutWords]] = {}
+#: The four Table-I LUTs; an arithmetic record carries its index.
+_LUT_KINDS = (("add", False), ("add", True), ("sub", False), ("sub", True))
+_LUT_INDEX = {key: index for index, key in enumerate(_LUT_KINDS)}
+_LUT_STATES = tuple(_lut_states(kind, inplace) for kind, inplace in _LUT_KINDS)
 
+#: Pass tables padded to :data:`_MAX_PASSES`, so one group can mix all four
+#: LUTs.  ``_FLIPS[literal, pass, lut]`` is ``-1`` where the pass searches a
+#: 0 bit of literal ``(carry, b, a)[literal]`` (``x ^ flip`` is then the
+#: literal, and the AND of the three is the pass's minterm word), ``0``
+#: where it searches a 1 bit; ``_PASSES[pass, lut]`` says whether the LUT
+#: has that pass (a padded pass is masked to an empty minterm, so it never
+#: fires).  ``_SIGNS[lut]`` gives ``result = b + sign * a``.
+_FLIPS = np.zeros((3, _MAX_PASSES, len(_LUT_KINDS)), dtype=np.int64)
+_PASSES = np.zeros((_MAX_PASSES, len(_LUT_KINDS)), dtype=bool)
+for _lut, _states in enumerate(_LUT_STATES):
+    for _pass, _state in enumerate(() if _states is None else _states):
+        _PASSES[_pass, _lut] = True
+        _FLIPS[:, _pass, _lut] = ((int(_state) >> np.array([2, 1, 0])) & 1) - 1
+_SIGNS = np.array([1 if kind == "add" else -1 for kind, _ in _LUT_KINDS], np.int64)
 
-def _lut_words(kind: str, inplace: bool) -> Optional[_LutWords]:
-    """The minterm form of a LUT, or ``None`` when it has no such form.
+#: Group kinds: every record of a group has the same one.
+_ARITH, _COPY, _CLEAR = range(3)
 
-    The form exists when every pass matches exactly one initial ``(carry, b,
-    a)`` state and each state fires at most one pass (the truth tensor is a
-    partial permutation); then a pass fires exactly on its state's bits.
-    """
-    key = (kind, inplace)
-    if key not in _LUT_WORDS:
-        truth = lut_truth_matrix(kind, inplace)
-        if (truth.sum(axis=0) == 1).all() and (truth.sum(axis=1) <= 1).all():
-            words: Optional[_LutWords] = _LutWords(
-                kind == "add", truth.argmax(axis=0).astype(np.int64)
-            )
-        else:
-            words = None
-        _LUT_WORDS[key] = words
-    return _LUT_WORDS[key]
+#: Fields of one lowered record (``int`` entries of ``_Lowering.records``):
+#: group kind, LUT index (arithmetic), source A and B regions (column,
+#: offset, width), instruction width, fire slot, the one destination written
+#: (column, offset, cleared width) and whether it is a narrow extra
+#: destination.
+(
+    _KIND, _LUT, _A_COL, _A_OFF, _A_WIDTH, _B_COL, _B_OFF, _B_WIDTH,
+    _WIDTH, _SLOT, _D_COL, _D_OFF, _D_WIDTH, _NARROW,
+) = range(14)
+_FIELDS = 14
 
 
 # ----------------------------------------------------------------------
-# Wave compilation: APProgram -> flat descriptors the mega-kernel can run
+# Wave compilation: APProgram -> records, accounting and definedness
 # ----------------------------------------------------------------------
-@functools.lru_cache(maxsize=None)
-def _mask(width: int) -> np.int64:
-    """The low ``width`` bits set."""
-    return np.int64((1 << width) - 1)
-
-
-@functools.lru_cache(maxsize=None)
-def _keep(offset: int, width: int) -> np.uint64:
-    """Word mask keeping every domain outside ``[offset, offset + width)``."""
-    return np.uint64(~(((1 << width) - 1) << offset) & (2**_WORD_BITS - 1))
-
-
-class _Read:
-    """Sign-extended read of one region: ``(word << left) >> right`` (signed)."""
-
-    __slots__ = ("column", "left", "right")
-
-    def __init__(self, column: int, offset: int, width: int) -> None:
-        self.column = column
-        self.left = np.uint64(_WORD_BITS - offset - width)
-        self.right = np.int64(_WORD_BITS - width)
-
-
-class _Target:
-    """Masked merge of ``width`` result bits into one destination word.
-
-    ``keep`` clears the destination's own domains first.  A ``narrow`` extra
-    destination (region narrower than the instruction) is only pre-zeroed
-    over its own width: above it, rows whose state fires no pass keep their
-    stale bits, so the fire word is cleared out of the word as well.
-    """
-
-    __slots__ = ("column", "keep", "shift", "narrow")
-
-    def __init__(self, column: int, offset: int, cleared: int, narrow: bool) -> None:
-        self.column = column
-        self.keep = _keep(offset, cleared)
-        self.shift = np.uint64(offset)
-        self.narrow = narrow
-
-
-# Descriptors are immutable, so ops of every program share one per region.
-_read_spec = functools.lru_cache(maxsize=None)(_Read)
-_target = functools.lru_cache(maxsize=None)(_Target)
-
-
-@functools.lru_cache(maxsize=None)
-def _targets(*targets: _Target) -> Tuple[_Target, ...]:
-    """One shared tuple per destination set."""
-    return targets
-
-
-def _region_read(region: ColumnRegion) -> _Read:
-    return _read_spec(region.column, region.domain_offset, region.width)
-
-
-class _ArithOp:
-    __slots__ = ("lut", "a", "b", "mask", "targets", "narrow", "slot")
-
-    def __init__(self, lut, a, b, mask, targets, narrow, slot) -> None:
-        self.lut = lut
-        self.a = a
-        self.b = b
-        self.mask = mask
-        self.targets = targets
-        self.narrow = narrow
-        self.slot = slot
-
-
-class _CopyOp:
-    __slots__ = ("src", "mask", "targets", "slot")
-
-    def __init__(self, src, mask, targets, slot) -> None:
-        self.src = src
-        self.mask = mask
-        self.targets = targets
-        self.slot = slot
-
-
-class _ClearOp:
-    __slots__ = ("targets",)
-
-    def __init__(self, targets) -> None:
-        self.targets = targets
-
-
-class _ReadGroup:
-    """Outputs of one program that share ``(offset, width)``: one gather."""
-
-    __slots__ = ("read", "columns", "slots", "negated")
-
-    def __init__(
-        self,
-        offset: int,
-        width: int,
-        columns: Tuple[int, ...],
-        slots: Tuple[int, ...],
-        negated: Tuple[bool, ...],
-    ) -> None:
-        self.read = _read_spec(columns[0], offset, width)
-        self.columns = np.array(columns, dtype=np.intp)
-        self.slots = (
-            slice(slots[0], slots[-1] + 1)
-            if slots == tuple(range(slots[0], slots[-1] + 1))
-            else np.array(slots, dtype=np.intp)
-        )
-        self.negated = np.flatnonzero(negated) if any(negated) else None
-
-
-_read_group = functools.lru_cache(maxsize=None)(_ReadGroup)
-
-
 class _CompiledWaveProgram:
-    """One program lowered to wave descriptors (valid for a geometry).
+    """One program lowered for wave execution (valid for a geometry).
 
-    Besides the op list it holds the program's data-independent accounting
-    from :class:`_Lowering`: the alignment events, the per-slot width masks
-    and written-column counts, and the static counter totals.  ``read_names``
-    fixes the output slot order (names sorted within the program) and
-    ``read_groups`` batches the readout by ``(offset, width)``.
-    ``replay_plans`` memoises the :class:`_ReplayPlan` of every program
-    sequence this program starts.
+    ``records`` holds one fixed-size integer record per destination write, in
+    program order (an instruction with several destinations lowers to one
+    record per destination; re-evaluating it is exact because destinations
+    never alias its sources).  The operand bindings are ``load_names`` with
+    one ``(column, offset, width)`` triple per load in ``load_table``, and
+    ``read_names`` (sorted: the slot order of the stacked readout) with one
+    ``(column, offset, width, negated)`` quadruple per output in
+    ``output_table``.  Besides those it holds the program's data-independent
+    accounting from :class:`_Lowering`: the alignment events, the per-slot
+    width masks and written-column counts, and the static counter totals.
+    ``self_contained`` says whether every source and output read touches
+    only domains the program defined itself; ``clean`` whether every domain
+    it writes is defined afterwards (not so above a narrow extra destination
+    over undefined domains), and ``defined`` holds the mask of its defined
+    domains per column.  ``sequence_plans`` memoises the replay plan and
+    lockstep schedules of every program sequence this program starts.
     """
 
     __slots__ = (
-        "loads",
-        "ops",
+        "load_names",
+        "load_table",
         "read_names",
-        "read_groups",
-        "slots",
+        "output_table",
+        "records",
         "slot_widths",
         "slot_columns",
         "copy_slots",
@@ -307,40 +248,49 @@ class _CompiledWaveProgram:
         "written_per_row",
         "loaded_per_row",
         "read_per_row",
-        "replay_plans",
+        "self_contained",
+        "clean",
+        "defined",
+        "sequence_plans",
     )
 
     def __init__(self, program: APProgram, lowering: "_Lowering") -> None:
-        loads = []
-        self.loaded_per_row = 0
-        for name, region in program.input_columns.items():
-            width = region.width
-            target = _target(region.column, region.domain_offset, width, False)
-            loads.append((name, target, width))
-            self.loaded_per_row += width
-        self.loads = tuple(loads)
-        self.ops = tuple(lowering.ops)
-        outputs = program.output_columns
-        negated = program.output_negated
-        self.read_names = tuple(sorted(outputs))
-        self.read_per_row = 0
-        # (offset, width) -> (columns, slots, negated) of the group's outputs.
-        grouped: Dict[Tuple[int, int], Tuple[list, list, list]] = {}
-        for slot, name in enumerate(self.read_names):
-            region = outputs[name]
-            width = region.width
-            self.read_per_row += width
-            members = grouped.get((region.domain_offset, width))
-            if members is None:
-                members = grouped[region.domain_offset, width] = ([], [], [])
-            members[0].append(region.column)
-            members[1].append(slot)
-            members[2].append(bool(negated.get(name, False)))
-        self.read_groups = tuple(
-            _read_group(offset, width, tuple(columns), tuple(slots), tuple(signs))
-            for (offset, width), (columns, slots, signs) in grouped.items()
+        self.load_names = tuple(program.input_columns)
+        self.load_table = array(
+            "i",
+            [
+                field
+                for region in program.input_columns.values()
+                for field in (region.column, region.domain_offset, region.width)
+            ],
         )
-        self.slots = len(lowering.slot_widths)
+        self.loaded_per_row = sum(self.load_table[2::3])
+        negated = program.output_negated
+        outputs = sorted(program.output_columns.items())
+        self.read_names = tuple(name for name, _ in outputs)
+        self.output_table = array(
+            "i",
+            [
+                field
+                for name, region in outputs
+                for field in (
+                    region.column,
+                    region.domain_offset,
+                    region.width,
+                    bool(negated.get(name, False)),
+                )
+            ],
+        )
+        self.read_per_row = sum(self.output_table[2::4])
+        # An output read of a domain the program never defined makes it
+        # read what a predecessor left.
+        defined = lowering.defined
+        for _, region in outputs:
+            needed = ((1 << region.width) - 1) << region.domain_offset
+            if defined.get(region.column, 0) & needed != needed:
+                lowering.self_contained = False
+                break
+        self.records = array("i", lowering.records)
         self.slot_widths = lowering.slot_widths
         self.slot_columns = lowering.slot_columns
         self.copy_slots = lowering.copy_slots
@@ -349,7 +299,16 @@ class _CompiledWaveProgram:
         self.searched_per_row = lowering.searched_per_row
         self.write_phases = lowering.write_phases
         self.written_per_row = lowering.written_per_row
-        self.replay_plans: Dict[tuple, _ReplayPlan] = {}
+        self.self_contained = lowering.self_contained
+        self.clean = lowering.clean
+        self.defined = array("Q", bytes(8 * lowering.columns))
+        for column, mask in lowering.defined.items():
+            self.defined[column] = mask
+        self.sequence_plans: Dict[tuple, object] = {}
+
+    def load_widths(self) -> Dict[str, int]:
+        """Operand name -> loaded region width."""
+        return dict(zip(self.load_names, self.load_table[2::3]))
 
 
 def _region_fits(region: ColumnRegion, columns: int, domains: int) -> bool:
@@ -357,13 +316,15 @@ def _region_fits(region: ColumnRegion, columns: int, domains: int) -> bool:
 
 
 class _Lowering:
-    """Accumulates one program's ops, fire slots, events and counters."""
+    """Accumulates one program's records, fire slots, events, counters and
+    defined domains."""
 
     def __init__(self, carry: int, columns: int, domains: int) -> None:
         self.carry = carry
         self.columns = columns
         self.domains = domains
-        self.ops: List[object] = []
+        #: Flat record fields, packed into an ``array('i')`` once lowered.
+        self.records: List[int] = []
         self.slot_widths = array("i")
         self.slot_columns: List[int] = []
         self.copy_slots: List[int] = []
@@ -375,6 +336,21 @@ class _Lowering:
         self.searched_per_row = 0
         self.write_phases = 0
         self.written_per_row = 0
+        #: Column -> bitmask of the domains the program has defined so far.
+        self.defined: Dict[int, int] = {}
+        self.self_contained = True
+        self.clean = True
+
+    def define(self, column: int, offset: int, width: int) -> None:
+        defined = self.defined
+        defined[column] = defined.get(column, 0) | (((1 << width) - 1) << offset)
+
+    def use(self, region: ColumnRegion) -> None:
+        """A read of ``region``: the program stops being self-contained if
+        any of its domains is not yet the program's own."""
+        needed = ((1 << region.width) - 1) << region.domain_offset
+        if self.defined.get(region.column, 0) & needed != needed:
+            self.self_contained = False
 
     def _slot(self, width: int, written_columns: int) -> int:
         self.slot_widths.append(width)
@@ -433,22 +409,23 @@ class _Lowering:
             return False
         run_b = self._source_run(src_b, width)
         run_a = self._source_run(src_a, width)
-        lut = _lut_words(lut_kind, inplace)
-        if run_a is None or run_b is None or lut is None:
+        lut = _LUT_INDEX[lut_kind, inplace]
+        states = _LUT_STATES[lut]
+        if run_a is None or run_b is None or states is None:
             return False
         # Carry-clearing write: one tagged write phase over every row, with
         # the carry port aligned to domain 0 (searches then stay there).
         events = (carry, 0, 0, -1) + run_b + run_a
         slot = len(self.slot_widths)
+        a_off, a_width = src_a.domain_offset, src_a.width
+        b_off, b_width = src_b.domain_offset, src_b.width
         if inplace:
             if dest != src_b or extra_dests:
                 return False
-            targets = _targets(_target(b_col, src_b.domain_offset, width, False))
-            narrow = False
+            targets: Tuple[tuple, ...] = ((b_col, b_off, width, 0),)
         else:
             seen_columns = {a_col, b_col, carry}
-            targets_list = []
-            narrow = False
+            targets = ()
             for region in instruction.all_dests:
                 column, offset = region.column, region.domain_offset
                 region_width = region.width
@@ -461,28 +438,34 @@ class _Lowering:
                 ):
                     return False
                 seen_columns.add(column)
-                narrow_dest = region_width < width
-                narrow = narrow or narrow_dest
-                targets_list.append(_target(column, offset, region_width, narrow_dest))
+                targets += ((column, offset, region_width, int(region_width < width)),)
                 events += (column, offset, offset, slot)
-            targets = _targets(*targets_list)
+        defined = self.defined
+        need_a = ((1 << a_width) - 1) << a_off
+        need_b = ((1 << b_width) - 1) << b_off
+        if (
+            defined.get(a_col, 0) & need_a != need_a
+            or defined.get(b_col, 0) & need_b != need_b
+        ):
+            self.self_contained = False
+        sources = (_ARITH, lut, a_col, a_off, a_width, b_col, b_off, b_width)
+        sources += (width, slot)
+        for column, offset, cleared, narrow in targets:
+            self.records.extend(sources + (column, offset, cleared, narrow))
+            mask = defined.get(column, 0)
+            if narrow:
+                # Above its own width, a narrow destination keeps the stale
+                # bits of rows no pass fired on: defined only if they were.
+                upper = ((1 << (width - cleared)) - 1) << (offset + cleared)
+                if mask & upper != upper:
+                    self.clean = False
+            defined[column] = mask | (((1 << cleared) - 1) << offset)
         self.events.extend(events)
         self._slot(width, 2 if inplace else 2 + len(extra_dests))
-        self.ops.append(
-            _ArithOp(
-                lut,
-                _region_read(src_a),
-                _region_read(src_b),
-                _mask(width),
-                targets,
-                narrow,
-                slot,
-            )
-        )
         self.write_phases += 1
         self.written_per_row += 1
-        self.search_phases += width * lut.passes
-        self.searched_per_row += 3 * width * lut.passes
+        self.search_phases += width * len(states)
+        self.searched_per_row += 3 * width * len(states)
         return True
 
     def _copy(self, instruction) -> bool:
@@ -506,25 +489,20 @@ class _Lowering:
         self.events.extend(run)
         slot = self._slot(width, 0)
         self.copy_slots.append(slot)
-        self.ops.append(
-            _CopyOp(
-                _region_read(src),
-                _mask(width),
-                _targets(
-                    *(
-                        _target(region.column, region.domain_offset, width, False)
-                        for region in dests
-                    )
-                ),
-                slot,
+        self.use(src)
+        # The single source fills both source fields of the record.
+        source = (src.column, src.domain_offset, src.width)
+        for region in dests:
+            offset = region.domain_offset
+            self.records.extend(
+                (_COPY, 0) + source + source + (width, slot, region.column, offset)
+                + (width, 0)
             )
-        )
+            self.define(region.column, offset, width)
+            self.events.extend((region.column, offset, offset + width - 1, -1))
         self.search_phases += 2 * width
         self.searched_per_row += 2 * width
         self.written_per_row += width * len(dests)
-        for region in dests:
-            offset = region.domain_offset
-            self.events.extend((region.column, offset, offset + width - 1, -1))
         return True
 
     def _clear(self, instruction) -> bool:
@@ -532,21 +510,15 @@ class _Lowering:
         for region in dests:
             if not _region_fits(region, self.columns, self.domains):
                 return False
-        self.ops.append(
-            _ClearOp(
-                tuple(
-                    (region.column, _keep(region.domain_offset, region.width))
-                    for region in dests
-                )
-            )
-        )
         for region in dests:
-            offset = region.domain_offset
-            self.events.extend(
-                (region.column, offset, offset + region.width - 1, -1)
+            column, offset, width = region.column, region.domain_offset, region.width
+            self.records.extend(
+                (_CLEAR, 0, 0, 0, 0, 0, 0, 0, width, 0, column, offset, width, 0)
             )
-            self.write_phases += region.width
-            self.written_per_row += region.width
+            self.define(column, offset, width)
+            self.events.extend((column, offset, offset + width - 1, -1))
+            self.write_phases += width
+            self.written_per_row += width
         return True
 
 
@@ -595,6 +567,8 @@ def _compile_program_wave(
         logger.debug("wave lowering declined: output bound to the carry column")
         return None
     lowering = _Lowering(carry, columns, domains)
+    for region in program.input_columns.values():
+        lowering.define(region.column, region.domain_offset, region.width)
     for instruction in program.instructions:
         if not lowering.instruction(instruction):
             logger.debug(
@@ -602,7 +576,6 @@ def _compile_program_wave(
                 instruction.opcode.name,
             )
             return None
-
     return _CompiledWaveProgram(program, lowering)
 
 
@@ -640,107 +613,40 @@ class StagedWaveInputs:
 def wave_staging_plan(
     programs: Sequence[APProgram],
     columns: int,
+    rows: int,
     technology: Optional[RTMTechnology] = None,
     carry_column: int = 0,
 ) -> Optional[List[Dict[str, int]]]:
-    """Pre-flight one tile's programs for host-staged wave execution.
+    """Pre-flight one ``rows x columns`` tile's programs for host-staged wave
+    execution.
 
-    Lowers every program for the wave geometry (memoised - calling this at
-    deploy time moves the whole lowering cost out of the serving window) and
-    returns, per program, the operand name -> region width map the host
-    stages.  Returns ``None`` when any program would decline wave execution,
-    so the caller can route the layer to the per-payload path up front.
+    Lowers every program for the wave geometry and builds the tile's
+    lockstep schedule (both memoised - calling this at deploy time moves the
+    whole lowering and scheduling cost out of the serving window).  Returns,
+    per program, the operand name -> region width map the host stages, or
+    ``None`` when any program would decline wave execution, so the caller
+    can route the layer to the per-payload path up front.
     """
     technology = technology or DEFAULT_RTM_TECHNOLOGY
     domains = technology.domains_per_nanowire
-    if columns < 1 or domains > _WORD_BITS:
+    if columns < 1 or rows < 1 or domains > _WORD_BITS:
         return None
-    load_widths: List[Dict[str, int]] = []
+    compiled: List[_CompiledWaveProgram] = []
     for program in programs:
         if program.carry_column != carry_column:
             return None
         lowered = compile_program_wave(program, columns, domains)
         if lowered is None:
             return None
-        load_widths.append({name: width for name, _, width in lowered.loads})
-    return load_widths
+        compiled.append(lowered)
+    if compiled:
+        _schedule(compiled, rows, columns)
+    return [lowered.load_widths() for lowered in compiled]
 
 
 # ----------------------------------------------------------------------
-# The mega-kernel: batched instruction evaluation over packed words
+# Per-sequence accounting and the lockstep schedule
 # ----------------------------------------------------------------------
-def _read(state: np.ndarray, read: _Read) -> np.ndarray:
-    """Sign-extended int64 value of a region per (instance, row)."""
-    words = state[read.column]
-    if read.left:
-        words = words << read.left
-    return words.view(np.int64) >> read.right
-
-
-def _merge(state: np.ndarray, target: _Target, bits: np.ndarray) -> None:
-    """Write ``bits`` (masked, non-negative int64) into a destination word."""
-    word = state[target.column]
-    word &= target.keep
-    bits = bits.view(np.uint64)
-    if target.shift:
-        bits = bits << target.shift
-    word |= bits
-
-
-def _run_ops(
-    state: np.ndarray, ops: Sequence[object], fires: np.ndarray, counts: np.ndarray
-) -> None:
-    """Evaluate one program's ops on every instance of the chunk.
-
-    ``fires[slot]`` receives one ``(passes, instances)`` fire record per
-    arithmetic op (the OR over rows of each pass word) and, per copy, the
-    OR and AND over rows of the copied word; ``counts[slot]`` the matched
-    bits of an arithmetic op per instance.  Everything else a counter needs
-    is static (see :func:`_replay`).
-    """
-    bitwise_or_reduce = np.bitwise_or.reduce
-    add_reduce = np.add.reduce
-    for op in ops:
-        kind = op.__class__
-        if kind is _ArithOp:
-            lut = op.lut
-            a = _read(state, op.a)
-            b = _read(state, op.b)
-            result = b + a if lut.add else b - a
-            carries = a ^ b
-            carries ^= result
-            # One minterm word per pass: the bits whose (carry, b, a) state
-            # that pass matches, masked to the instruction width.
-            minterms = carries ^ lut.flip_c
-            minterms &= b ^ lut.flip_b
-            minterms &= a ^ lut.flip_a
-            minterms &= op.mask
-            bitwise_or_reduce(minterms, axis=2, out=fires[op.slot, : lut.passes])
-            add_reduce(
-                np.bitwise_count(minterms), axis=(0, 2), dtype=np.int64,
-                out=counts[op.slot],
-            )
-            result &= op.mask
-            if op.narrow:
-                fired = bitwise_or_reduce(minterms, axis=0).view(np.uint64)
-            for target in op.targets:
-                if target.narrow:
-                    word = state[target.column]
-                    word &= ~(fired << target.shift)
-                _merge(state, target, result)
-        elif kind is _CopyOp:
-            value = _read(state, op.src)
-            bitwise_or_reduce(value, axis=1, out=fires[op.slot, 0])
-            np.bitwise_and.reduce(value, axis=1, out=fires[op.slot, 1])
-            value &= op.mask
-            for target in op.targets:
-                _merge(state, target, value)
-        else:
-            for column, keep in op.targets:
-                word = state[column]
-                word &= keep
-
-
 class _ReplayPlan:
     """Data-independent accounting of one program sequence.
 
@@ -798,14 +704,329 @@ class _ReplayPlan:
 def _replay_plan(compiled: Sequence[_CompiledWaveProgram]) -> _ReplayPlan:
     """The :class:`_ReplayPlan` of a program sequence, memoised on its first
     program (a tile runs the same sequence on every request)."""
-    if not compiled:
-        return _ReplayPlan(compiled)
     key = tuple(compiled)
-    plans = compiled[0].replay_plans
+    plans = compiled[0].sequence_plans
     plan = plans.get(key)
     if plan is None:
         plan = plans[key] = _ReplayPlan(compiled)
     return plan
+
+
+def _block_width(programs: int, rows: int, columns: int) -> int:
+    """Programs per lockstep block for a ``rows x columns`` tile."""
+    return max(1, min(programs, _BLOCK_WORDS // (rows * columns)))
+
+
+def _schedule(
+    compiled: Sequence[_CompiledWaveProgram], rows: int, columns: int
+) -> "_Schedule":
+    """The :class:`_Schedule` of a program sequence on a tile shape,
+    memoised on its first program next to the sequence's replay plan."""
+    width = _block_width(len(compiled), rows, columns)
+    key = (tuple(compiled), width)
+    plans = compiled[0].sequence_plans
+    schedule = plans.get(key)
+    if schedule is None:
+        schedule = plans[key] = _Schedule(compiled, columns, width)
+    return schedule
+
+
+def _lockstep_order(
+    kinds: np.ndarray, lengths: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the records of side-by-side programs for lockstep execution.
+
+    ``kinds`` holds the record kinds of every program, program after
+    program, ``lengths`` each program's record count.  Each group takes the
+    *next* record of every program whose next record has the group's kind,
+    so every program's records still run in program order; the kind
+    advancing the most outstanding records goes first.  Returns the record
+    order (indices into ``kinds``), each group's kind and the group
+    boundaries in that order (``groups + 1`` offsets).
+    """
+    programs = len(lengths)
+    stride = int(lengths.max(initial=0)) + 1
+    owner = np.repeat(np.arange(programs), lengths)
+    starts = np.zeros(programs, dtype=np.intp)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    # Program j's kinds, shifted up by one, at ``[j * stride, ...)`` of a
+    # flat table whose zeros mark the end of every program.
+    cells = owner * stride + np.arange(len(kinds)) - starts[owner]
+    table = np.zeros(programs * stride, dtype=np.intp)
+    table[cells] = kinds + 1
+    record = np.zeros(programs * stride, dtype=np.intp)
+    record[cells] = np.arange(len(kinds))
+    cursor = np.arange(programs) * stride
+    remaining = lengths.astype(np.float64)
+    order: List[np.ndarray] = []
+    group_kinds: List[int] = []
+    bounds = [0]
+    while True:
+        following = table[cursor]
+        scores = np.bincount(following, weights=remaining, minlength=_CLEAR + 2)
+        kind = int(scores[1:].argmax()) + 1
+        if not scores[kind]:
+            break
+        chosen = (following == kind).nonzero()[0]
+        order.append(cursor[chosen])
+        group_kinds.append(kind - 1)
+        bounds.append(bounds[-1] + len(chosen))
+        cursor[chosen] += 1
+        remaining[chosen] -= 1
+    flat = record[np.concatenate(order)] if order else np.zeros(0, dtype=np.intp)
+    return flat, np.array(group_kinds, dtype=np.intp), np.array(bounds, dtype=np.intp)
+
+
+class _Block:
+    """One lockstep block: programs ``[start, stop)`` of the sequence side by
+    side, with their spans of the schedule's group, record, load and output
+    arrays.
+
+    ``seeded`` blocks start their first slice from the true AP state before
+    ``start`` (zeros on a fresh AP); ``tracks`` blocks are followed by a
+    seeded block, so the kernel composes the true state after them.
+    ``rounds`` splits the loads into scatters that each hit distinct words
+    (``None``: a single scatter).
+    """
+
+    __slots__ = (
+        "start", "stop", "seeded", "tracks", "groups", "records", "loads",
+        "rounds", "outputs",
+    )
+
+    def __init__(
+        self, start, stop, seeded, tracks, groups, records, loads, rounds, outputs
+    ):
+        self.start = start
+        self.stop = stop
+        self.seeded = seeded
+        self.tracks = tracks
+        self.groups = groups
+        self.records = records
+        self.loads = loads
+        self.rounds = rounds
+        self.outputs = outputs
+
+
+def _flat_table(arrays: Sequence[array], fields: int) -> np.ndarray:
+    """Concatenated ``array('i')`` tables as one ``(rows, fields)`` int64
+    array."""
+    flat = np.frombuffer(b"".join(arrays), dtype=np.intc)
+    return flat.reshape(-1, fields).astype(np.int64)
+
+
+class _Schedule:
+    """The lockstep form of one program sequence for one tile shape.
+
+    Struct-of-arrays, compact at rest: the record fields are contiguous
+    int32/uint8 arrays with one entry per lowered record, in group order
+    across all blocks (sources have two entries per record, see below).
+    ``idx`` fields are flat word indices ``slice * columns + column`` into a
+    block's state; shifts (shaped ``(n, 1, 1)``) and widths are bytes.  Per
+    block and run, the kernel widens its span once - indices to ``intp``,
+    shifts to word dtypes, widths to masks and keep words - so no group
+    operation casts and a group slice broadcasts over ``(instances,
+    rows)``.  ``groups`` is one ``(kind, first, stop, narrow)`` int32 row per
+    group, its span relative to the block's first record.  Loads and
+    outputs are laid out the same way, in program order.  :meth:`chunk`
+    prices one instance against :data:`_WAVE_CHUNK_BYTES`.
+    """
+
+    __slots__ = (
+        "columns", "blocks", "groups",
+        "lut", "src_idx", "src_left", "src_right", "width", "slot",
+        "t_idx", "t_width", "t_shift", "t_narrow",
+        "l_idx", "l_width", "l_offset",
+        "r_idx", "r_left", "r_right", "r_sign",
+        "outputs", "row_words", "defined",
+    )
+
+    def __init__(
+        self, compiled: Sequence[_CompiledWaveProgram], columns: int, width: int
+    ) -> None:
+        self.columns = columns
+        programs = len(compiled)
+        # The last program that reads stale state: the true AP state must be
+        # composed up to it, so before it dirty programs start blocks too.
+        last_seed = max(
+            (k for k in range(1, programs) if not compiled[k].self_contained),
+            default=0,
+        )
+        starts = [0]
+        for k in range(1, programs):
+            lowered = compiled[k]
+            if (
+                k - starts[-1] >= width
+                or not lowered.self_contained
+                or (k < last_seed and not lowered.clean)
+            ):
+                starts.append(k)
+        stops = starts[1:] + [programs]
+        # Each program's slice in its block: every column becomes a flat word
+        # index ``slice * columns + column`` of the block state.
+        block_of = np.repeat(np.arange(len(starts)), np.subtract(stops, starts))
+        bases = (np.arange(programs) - np.asarray(starts)[block_of]) * columns
+
+        # Records stay program-major, so each block keeps its record range;
+        # the lockstep order only permutes records within a block.
+        counts = np.array([len(p.records) // _FIELDS for p in compiled])
+        firsts = np.concatenate(([0], np.cumsum(counts)))
+        owner = np.repeat(np.arange(programs), counts)
+        table = _flat_table([p.records for p in compiled], _FIELDS)
+        # Program-local fire slots become sequence slots.
+        slot_bases = np.cumsum([0] + [len(p.slot_widths) for p in compiled])
+        table[:, _SLOT] += slot_bases[owner]
+        table[:, (_A_COL, _B_COL, _D_COL)] += bases[owner, None]
+        orders, group_kinds, group_firsts, group_stops = [], [], [], []
+        block_groups = [0]
+        for start, stop in zip(starts, stops):
+            first = firsts[start]
+            order, kinds, bounds = _lockstep_order(
+                table[first : firsts[stop], _KIND], counts[start:stop]
+            )
+            orders.append(order + first)
+            group_kinds.append(kinds)
+            group_firsts.append(bounds[:-1])
+            group_stops.append(bounds[1:])
+            block_groups.append(block_groups[-1] + len(kinds))
+        table = table[np.concatenate(orders)]
+        kinds = np.concatenate(group_kinds)
+        # Group spans relative to their block's first record, and global.
+        local_firsts = np.concatenate(group_firsts)
+        local_stops = np.concatenate(group_stops)
+        group_block = np.repeat(np.arange(len(starts)), np.diff(block_groups))
+        offsets = firsts[np.asarray(starts)][group_block]
+        narrow = (
+            np.maximum.reduceat(table[:, _NARROW], local_firsts + offsets)
+            if len(kinds)
+            else np.zeros(0, dtype=np.int64)
+        )
+        self.groups = np.column_stack(
+            [kinds, local_firsts, local_stops, narrow]
+        ).astype(np.int32)
+        # Per record: the global first and stop record of its group.
+        span_of = np.repeat(
+            np.column_stack([local_firsts, local_stops]) + offsets[:, None],
+            local_stops - local_firsts,
+            axis=0,
+        )
+
+        load_counts = np.array([len(p.load_names) for p in compiled])
+        loads = _flat_table([p.load_table for p in compiled], 3)
+        loads[:, 0] += np.repeat(bases, load_counts)
+        load_firsts = np.concatenate(([0], np.cumsum(load_counts)))
+        output_counts = np.array([len(p.read_names) for p in compiled])
+        outputs = _flat_table([p.output_table for p in compiled], 4)
+        outputs[:, 0] += np.repeat(bases, output_counts)
+        output_firsts = np.concatenate(([0], np.cumsum(output_counts)))
+
+        self.blocks: List[_Block] = []
+        row_words = 0
+        for index, (start, stop) in enumerate(zip(starts, stops)):
+            load_span = (int(load_firsts[start]), int(load_firsts[stop]))
+            output_span = (int(output_firsts[start]), int(output_firsts[stop]))
+            words = loads[slice(*load_span), 0]
+            # Loads into one word land in order: the r-th load of a word goes
+            # to scatter round r (one round unless a column holds several).
+            rounds = None
+            if len(np.unique(words)) < len(words):
+                seen: Dict[int, int] = {}
+                occurrence = np.zeros(len(words), dtype=np.intp)
+                for position, word in enumerate(words.tolist()):
+                    occurrence[position] = seen.get(word, 0)
+                    seen[word] = occurrence[position] + 1
+                rounds = tuple(
+                    np.flatnonzero(occurrence == r)
+                    for r in range(int(occurrence.max()) + 1)
+                )
+            self.blocks.append(
+                _Block(
+                    start,
+                    stop,
+                    last_seed > 0 and start <= last_seed,
+                    last_seed > 0 and stop <= last_seed,
+                    (block_groups[index], block_groups[index + 1]),
+                    (int(firsts[start]), int(firsts[stop])),
+                    load_span,
+                    rounds,
+                    output_span,
+                )
+            )
+            # Per instance row: block state, gathered loads, group
+            # temporaries (sources, carries, result, literals, minterms and
+            # target words of up to ``stop - start`` records) and the
+            # block's readout.
+            row_words = max(
+                row_words,
+                (stop - start) * (columns + 28)
+                + load_span[1] - load_span[0]
+                + output_span[1] - output_span[0],
+            )
+        #: Per-program defined-domain masks, kept only where the kernel
+        #: composes the true AP state.
+        self.defined = (
+            [np.frombuffer(lowered.defined, dtype=np.uint64) for lowered in compiled]
+            if last_seed
+            else None
+        )
+        if last_seed:
+            row_words += columns  # the composed true state
+        self.outputs = len(outputs)
+        self.row_words = row_words + len(outputs)
+
+        shape = (-1, 1, 1)
+        self.lut = table[:, _LUT].astype(np.uint8)
+        # Sources: a group of records ``[first, stop)`` reads its B regions
+        # at ``[2 * first, first + stop)`` and its A regions at ``[first +
+        # stop, 2 * stop)``, so one gather fetches both (a copy's single
+        # source sits in both).
+        record = np.arange(len(table))
+        positions = np.concatenate([span_of[:, 0] + record, span_of[:, 1] + record])
+        sources = np.empty((2 * len(table), 3), dtype=np.int64)
+        sources[positions] = np.concatenate(
+            [table[:, (_B_COL, _B_OFF, _B_WIDTH)], table[:, (_A_COL, _A_OFF, _A_WIDTH)]]
+        )
+        self.src_idx = sources[:, 0].astype(np.int32)
+        self.src_left = (_WORD_BITS - sources[:, 1] - sources[:, 2]).astype(
+            np.uint8
+        ).reshape(shape)
+        self.src_right = (_WORD_BITS - sources[:, 2]).astype(np.uint8).reshape(shape)
+        self.width = table[:, _WIDTH].astype(np.uint8)
+        self.slot = table[:, _SLOT].astype(np.int32)
+        self.t_idx = table[:, _D_COL].astype(np.int32)
+        self.t_width = table[:, _D_WIDTH].astype(np.uint8)
+        self.t_shift = table[:, _D_OFF].astype(np.uint8).reshape(shape)
+        self.t_narrow = (
+            np.where(table[:, _NARROW] != 0, ~np.uint64(0), np.uint64(0))
+            .astype(np.uint64)
+            .reshape(shape)
+            if table[:, _NARROW].any()
+            else None
+        )
+
+        self.l_idx = loads[:, 0].astype(np.int32)
+        self.l_offset = loads[:, 1].astype(np.uint8).reshape(shape)
+        self.l_width = loads[:, 2].astype(np.uint8)
+        self.r_idx = outputs[:, 0].astype(np.int32)
+        self.r_left = (_WORD_BITS - outputs[:, 1] - outputs[:, 2]).astype(
+            np.uint8
+        ).reshape(shape)
+        self.r_right = (_WORD_BITS - outputs[:, 2]).astype(np.uint8).reshape(shape)
+        self.r_sign = (
+            np.where(outputs[:, 3] != 0, -1, 1).astype(np.int8).reshape(shape)
+            if outputs[:, 3].any()
+            else None
+        )
+
+    def chunk(self, rows: int, total: int, plan: _ReplayPlan) -> int:
+        """Instances per chunk under :data:`_WAVE_CHUNK_BYTES` (block state
+        and temporaries per row, plus the chunk's fire records)."""
+        instance_bytes = 8 * (
+            rows * self.row_words
+            + plan.slots * (_MAX_PASSES + 1)
+            + 6 * len(plan.events)
+        )
+        return max(1, min(total, _WAVE_CHUNK_BYTES // instance_bytes))
 
 
 def _sorted_events(events: np.ndarray) -> np.ndarray:
@@ -849,12 +1070,14 @@ def _steps(
 def _replay(
     plan: _ReplayPlan, fires: np.ndarray, counts: np.ndarray, rows: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-instance ``(write_phases, written_bits, lockstep_shift_steps)``."""
+    """Per-instance ``(write_phases, written_bits, lockstep_shift_steps)``
+    from the ``(passes, slots, instances)`` fire words and the
+    ``(slots, instances)`` matched-bit counts of one chunk."""
     copies = plan.copy_slots
     if copies.size:
         # A copy writes the 0 bits where some row holds a 0: NOT of the AND.
-        fires[copies, 1] = ~fires[copies, 1]
-    fires &= plan.slot_masks[:, None, None]
+        fires[1, copies] = ~fires[1, copies]
+    fires &= plan.slot_masks[:, None]
     write_phases = plan.write_phases + np.bitwise_count(fires).sum(
         axis=(0, 1), dtype=np.int64
     )
@@ -870,7 +1093,7 @@ def _replay(
         active = np.ones(first.shape, dtype=bool)
         dynamic = plan.dynamic
         if dynamic.size:
-            fired = np.bitwise_or.reduce(fires[plan.dynamic_slots], axis=1)
+            fired = np.bitwise_or.reduce(fires[:, plan.dynamic_slots], axis=0)
             # Lowest set bit: popcount below it; highest: smear it downwards.
             low = np.bitwise_count((fired & -fired) - 1).astype(np.int64)
             smeared = fired.copy()
@@ -884,10 +1107,11 @@ def _replay(
     return write_phases, written_bits, lockstep
 
 
-#: One instance's wave outcome: counters, per-program output dicts, checksum,
-#: and the same outputs stacked as one ``(total outputs, rows)`` int64 matrix
-#: (program order, names sorted within each program) for bulk reduction.
-WaveResult = Tuple[CAMStats, List[Dict[str, np.ndarray]], int, np.ndarray]
+#: One instance's wave outcome: counters, checksum, and its outputs stacked as
+#: one ``(total outputs, rows)`` int64 matrix in (program order, names sorted
+#: within each program) order - each compiled program's ``read_names`` - for
+#: bulk reduction.
+WaveResult = Tuple[CAMStats, int, np.ndarray]
 
 #: Either input form accepted by :func:`execute_program_wave`.
 WaveInputs = Union[
@@ -915,53 +1139,113 @@ def _fits_signed(values: np.ndarray, width: int) -> bool:
     )
 
 
-def _gather_load(
-    name: str,
-    width: int,
-    program_index: int,
+def _stage_dicts(
+    compiled: Sequence[_CompiledWaveProgram],
     inputs_per_instance: Sequence[Sequence[Mapping[str, Sequence[int]]]],
     rows: int,
-) -> Optional[np.ndarray]:
-    """Stack one input across instances; ``None`` if any vector is invalid."""
-    stacked = np.empty((len(inputs_per_instance), rows), dtype=np.int64)
-    for index, instance_inputs in enumerate(inputs_per_instance):
-        values = np.asarray(instance_inputs[program_index][name])
-        if values.shape != (rows,) or values.dtype.kind not in "iu":
-            return None
-        stacked[index] = values
-    return stacked if _fits_signed(stacked, width) else None
+) -> Optional[StagedWaveInputs]:
+    """The staged form of one-dict-per-(instance, program) inputs: one
+    ``(instances, rows)`` batch per operand, or ``None`` (declined) when an
+    instance's program count, operand names or vector shapes and dtypes do
+    not fit.  Value ranges are checked on the staged batches."""
+    if any(len(instance) != len(compiled) for instance in inputs_per_instance):
+        _decline("malformed-inputs", programs=len(compiled))
+        return None
+    for program_index, lowered in enumerate(compiled):
+        for instance_inputs in inputs_per_instance:
+            provided = instance_inputs[program_index]
+            if any(name not in provided for name in lowered.load_names):
+                _decline("missing-input", program=program_index)
+                return None
+    values: List[Dict[str, np.ndarray]] = []
+    instances = len(inputs_per_instance)
+    for program_index, lowered in enumerate(compiled):
+        batches: Dict[str, np.ndarray] = {}
+        for name, width in lowered.load_widths().items():
+            stacked = np.empty((instances, rows), dtype=np.int64)
+            for index, instance_inputs in enumerate(inputs_per_instance):
+                vector = np.asarray(instance_inputs[program_index][name])
+                if vector.shape != (rows,) or vector.dtype.kind not in "iu":
+                    _decline("invalid-input", name=name, program=program_index)
+                    return None
+                if vector.dtype == np.uint64 and not _fits_signed(vector, width):
+                    _decline("invalid-input", name=name, program=program_index)
+                    return None
+                stacked[index] = vector
+            batches[name] = stacked
+        values.append(batches)
+    return StagedWaveInputs(instances, rows, values)
 
 
-def _validate_staged(
+def _decline_inputs(
     compiled: Sequence[_CompiledWaveProgram], staged: StagedWaveInputs, rows: int
-) -> bool:
-    """Shape/range-check staged operand batches (once, before chunking).
+) -> None:
+    """Decline a wave whose staged operands failed the kernel's vectorized
+    checks, naming the first bad operand in program order.
 
-    The same acceptance decision the per-instance gather makes: any missing
-    name, wrong shape/dtype or out-of-range value declines the wave, so the
-    caller falls back to per-instance dispatch where the ordinary backends
-    raise their proper errors.
+    Walks the batches one by one - missing name, wrong shape or dtype,
+    out-of-range value - so the decline carries the same reason and operand
+    whichever block or chunk tripped first.
     """
     entries = staged.values
-    if len(entries) != len(compiled):
-        _decline("malformed-inputs", programs=len(compiled))
-        return False
     total = staged.instances
     for program_index, lowered in enumerate(compiled):
         provided = entries[program_index]
-        for name, _, width in lowered.loads:
+        for name, width in lowered.load_widths().items():
             batch = provided.get(name)
             if batch is None:
-                _decline("missing-input", program=program_index)
-                return False
+                return _decline("missing-input", program=program_index)
             if (
                 batch.shape != (total, rows)
                 or batch.dtype.kind not in "iu"
                 or not _fits_signed(batch, width)
             ):
-                _decline("invalid-input", name=name, program=program_index)
-                return False
-    return True
+                return _decline("invalid-input", name=name, program=program_index)
+    return _decline("invalid-input")
+
+
+def _block_operands(
+    schedule: "_Schedule",
+    compiled: Sequence[_CompiledWaveProgram],
+    staged: StagedWaveInputs,
+    rows: int,
+) -> Optional[List[List[np.ndarray]]]:
+    """Every block's operand batches in load order, shape- and dtype-checked
+    in one pass per block; ``None`` (declined) if any is missing or bad.
+
+    A ``uint64`` batch is range-checked here as well: its values do not
+    survive the kernel's cast to int64 unchecked.
+    """
+    entries = staged.values
+    expected = (staged.instances, rows)
+    blocks: List[List[np.ndarray]] = []
+    for block in schedule.blocks:
+        try:
+            operands = [
+                entries[j][name]
+                for j in range(block.start, block.stop)
+                for name in compiled[j].load_names
+            ]
+        except KeyError:
+            operands = None
+        if operands is not None:
+            dtypes = {batch.dtype for batch in operands}
+            if set(map(np.shape, operands)) - {expected} or any(
+                dtype.kind not in "iu" for dtype in dtypes
+            ):
+                operands = None
+            elif np.dtype(np.uint64) in dtypes:
+                widths = schedule.l_width[slice(*block.loads)].tolist()
+                if not all(
+                    _fits_signed(batch, width)
+                    for batch, width in zip(operands, widths)
+                    if batch.dtype == np.uint64
+                ):
+                    operands = None
+        if operands is None:
+            return _decline_inputs(compiled, staged, rows)
+        blocks.append(operands)
+    return blocks
 
 
 def execute_program_wave(
@@ -978,12 +1262,12 @@ def execute_program_wave(
     back to back on its own input set (the exact contract of a pooled or
     fresh-worker AP executing one tile).  ``inputs_per_instance`` is either
     the one-dict-per-(instance, program) form or a host-staged
-    :class:`StagedWaveInputs` batch.  Returns one ``(CAMStats, outputs,
-    checksum, stacked outputs)`` tuple per instance - byte-identical to
-    running each instance alone on any registered backend - or ``None`` when
-    the wave cannot take the batched path (unsupported instruction shapes,
-    geometry, or malformed inputs), in which case the caller must fall back
-    to per-instance dispatch.
+    :class:`StagedWaveInputs` batch.  Returns one ``(CAMStats, checksum,
+    stacked outputs)`` tuple per instance - byte-identical to running each
+    instance alone on any registered backend - or ``None`` when the wave
+    cannot take the batched path (unsupported instruction shapes, geometry,
+    or malformed inputs), in which case the caller must fall back to
+    per-instance dispatch.
     """
     technology = technology or DEFAULT_RTM_TECHNOLOGY
     domains = technology.domains_per_nanowire
@@ -1015,30 +1299,26 @@ def execute_program_wave(
             return None
         compiled.append(lowered)
     if staged:
-        if not _validate_staged(compiled, inputs_per_instance, rows):
+        if len(inputs_per_instance.values) != len(compiled):
+            _decline("malformed-inputs", programs=len(compiled))
             return None
+        inputs = inputs_per_instance
     else:
-        if any(len(instance) != len(programs) for instance in inputs_per_instance):
-            _decline("malformed-inputs", programs=len(programs))
+        with telemetry.span("host.stage", category="host", mode="gather"):
+            inputs = _stage_dicts(compiled, inputs_per_instance, rows)
+        if inputs is None:
             return None
-        for program_index, lowered in enumerate(compiled):
-            for instance_inputs in inputs_per_instance:
-                provided = instance_inputs[program_index]
-                if any(name not in provided for name, _, _ in lowered.loads):
-                    _decline("missing-input", program=program_index)
-                    return None
+    if not compiled:
+        return [
+            (CAMStats(), 0, np.empty((0, rows), dtype=np.int64)) for _ in range(total)
+        ]
 
+    schedule = _schedule(compiled, rows, columns)
+    operands = _block_operands(schedule, compiled, inputs, rows)
+    if operands is None:
+        return None
     plan = _replay_plan(compiled)
-    # Chunk the wave so the words, the minterm temporaries and the output
-    # matrix stay bounded; instances are independent, so chunked and
-    # unchunked execution are byte-identical.
-    total_outputs = sum(len(lowered.read_names) for lowered in compiled)
-    per_instance_bytes = 8 * (
-        rows * (columns + 3 * _MAX_PASSES + total_outputs)
-        + plan.slots * (_MAX_PASSES + 1)
-        + 6 * len(plan.events)
-    )
-    chunk = max(1, min(total, _MAX_WAVE_STATE_BYTES // per_instance_bytes))
+    chunk = schedule.chunk(rows, total, plan)
     results: List[WaveResult] = []
     with telemetry.span(
         "backend.wave",
@@ -1049,94 +1329,225 @@ def execute_program_wave(
         columns=columns,
     ):
         for start in range(0, total, chunk):
-            if staged:
-                instances = (inputs_per_instance, start, min(start + chunk, total))
-            else:
-                instances = inputs_per_instance[start : start + chunk]
+            stop = min(start + chunk, total)
             chunk_results = _execute_wave_chunk(
-                compiled, plan, instances, rows, columns
+                schedule, plan, operands, start, stop, total, rows
             )
             if chunk_results is None:
-                return None
+                return _decline_inputs(compiled, inputs, rows)
             results.extend(chunk_results)
     return results
 
 
-def _load(state: np.ndarray, target: _Target, width: int, values) -> None:
-    """Place a ``(instances, rows)`` operand batch (input placement)."""
-    bits = values.astype(np.int64)
-    bits &= _mask(width)
-    _merge(state, target, bits)
+def _load_block(
+    state: np.ndarray,
+    schedule: "_Schedule",
+    block: _Block,
+    operands: List[np.ndarray],
+    start: int,
+    stop: int,
+    total: int,
+) -> bool:
+    """Place one block's operand batches for instances ``[start, stop)``:
+    one stack, one vectorized range check, one scatter per load round.
+    ``False`` when a value is out of its operand's signed range."""
+    if not operands:
+        return True
+    if stop - start != total:
+        operands = [batch[start:stop] for batch in operands]
+    values = np.stack(operands, dtype=np.int64)
+    first, last = block.loads
+    widths = schedule.l_width[first:last]
+    if (
+        (values.min(axis=(1, 2)) < _SIGNED_MIN[widths]).any()
+        or (values.max(axis=(1, 2)) > _SIGNED_MAX[widths]).any()
+    ):
+        return False
+    low = _LOW[widths].reshape(-1, 1, 1)
+    offsets = schedule.l_offset[first:last].astype(np.uint64)
+    bits = values.view(np.uint64)
+    bits &= low
+    bits <<= offsets
+    keep = ~(low << offsets)
+    words = schedule.l_idx[first:last].astype(np.intp)
+    for chosen in block.rounds or (slice(None),):
+        targets = words[chosen]
+        merged = state[targets]
+        merged &= keep[chosen]
+        merged |= bits[chosen]
+        state[targets] = merged
+    return True
+
+
+def _run_groups(
+    state: np.ndarray,
+    schedule: "_Schedule",
+    block: _Block,
+    fires: np.ndarray,
+    counts: np.ndarray,
+) -> None:
+    """Execute one block's groups: each evaluates one record of each of its
+    programs on every instance of the chunk.
+
+    ``fires[:, slot]`` receives one ``(passes, instances)`` fire record per
+    arithmetic record (the OR over rows of each pass word) and, per copy,
+    the OR and AND over rows of the copied word; ``counts[slot]`` the
+    matched bits of an arithmetic record per instance.  Everything else a
+    counter needs is static (see :func:`_replay`).
+    """
+    bitwise_or_reduce = np.bitwise_or.reduce
+    s = schedule
+    first, last = block.groups
+    records = slice(*block.records)
+    sources = slice(2 * block.records[0], 2 * block.records[1])
+    # Widen the block's compact fields once (indices to intp, shifts to the
+    # word dtypes, so no group operation casts) and slice every per-record
+    # field to the block, so group spans index them directly.
+    src_idx = s.src_idx[sources].astype(np.intp)
+    src_left = s.src_left[sources].astype(np.uint64)
+    src_right = s.src_right[sources].astype(np.int64)
+    t_idx = s.t_idx[records].astype(np.intp)
+    slot = s.slot[records].astype(np.intp)
+    shifts = s.t_shift[records].astype(np.uint64)
+    masks = _LOW[s.width[records]].view(np.int64).reshape(-1, 1, 1)
+    # Each destination word keeps every domain outside its cleared region.
+    keeps = ~(_LOW[s.t_width[records]].reshape(-1, 1, 1) << shifts)
+    narrows = s.t_narrow[records] if s.t_narrow is not None else None
+    # Per record: its LUT's pass flips, its width mask on the LUT's real
+    # passes (empty on padded ones) and its add/sub sign.
+    lut = s.lut[records]
+    flip_c, flip_b, flip_a = _FLIPS[:, :, lut].reshape(3, _MAX_PASSES, -1, 1, 1)
+    pass_masks = np.where(_PASSES[:, lut], masks.reshape(-1), 0).reshape(
+        _MAX_PASSES, -1, 1, 1
+    )
+    signs = _SIGNS[lut].reshape(-1, 1, 1)
+    for kind, lo, hi, narrow in s.groups[first:last].tolist():
+        targets = t_idx[lo:hi]
+        if kind == _CLEAR:
+            word = state[targets]
+            word &= keeps[lo:hi]
+            state[targets] = word
+            continue
+        slots = slot[lo:hi]
+        mask = masks[lo:hi]
+        if kind == _COPY:
+            span = slice(2 * lo, lo + hi)
+            value = state[src_idx[span]]
+            value <<= src_left[span]
+            value = value.view(np.int64)
+            value >>= src_right[span]
+            fires[0, slots] = bitwise_or_reduce(value, axis=2)
+            fires[1, slots] = np.bitwise_and.reduce(value, axis=2)
+            value &= mask
+            bits = value.view(np.uint64)
+        else:
+            span = slice(2 * lo, 2 * hi)
+            words = state[src_idx[span]]
+            words <<= src_left[span]
+            values = words.view(np.int64)
+            values >>= src_right[span]
+            b = values[: hi - lo]
+            a = values[hi - lo :]
+            result = a * signs[lo:hi]
+            result += b
+            carries = a ^ b
+            carries ^= result
+            # One minterm word per pass: the bits whose (carry, b, a) state
+            # that pass matches, masked to the instruction width.
+            minterms = carries ^ flip_c[:, lo:hi]
+            minterms &= b ^ flip_b[:, lo:hi]
+            minterms &= a ^ flip_a[:, lo:hi]
+            minterms &= pass_masks[:, lo:hi]
+            fires[:, slots] = bitwise_or_reduce(minterms, axis=3)
+            counts[slots] = np.add.reduce(
+                np.bitwise_count(minterms), axis=(0, 3), dtype=np.int64
+            )
+            result &= mask
+            bits = result.view(np.uint64)
+        word = state[targets]
+        if narrow:
+            # Above a narrow extra destination's own width, rows whose state
+            # fires no pass keep their bits: clear only the fired ones.
+            fired = bitwise_or_reduce(minterms, axis=0).view(np.uint64)
+            fired <<= shifts[lo:hi]
+            fired &= narrows[lo:hi]
+            word &= ~fired
+        word &= keeps[lo:hi]
+        bits <<= shifts[lo:hi]
+        word |= bits
+        state[targets] = word
+
+
+def _read_block(
+    state: np.ndarray, schedule: "_Schedule", block: _Block, stacked: np.ndarray
+) -> None:
+    """One gather reads every output of the block into ``stacked``."""
+    first, last = block.outputs
+    if first == last:
+        return
+    words = state[schedule.r_idx[first:last].astype(np.intp)]
+    words <<= schedule.r_left[first:last].astype(np.uint64)
+    values = words.view(np.int64)
+    values >>= schedule.r_right[first:last].astype(np.int64)
+    if schedule.r_sign is not None:
+        values *= schedule.r_sign[first:last].astype(np.int64)
+    stacked[:, first:last] = values.transpose(1, 0, 2)
+
+
+def _compose(
+    state: np.ndarray, defined: Sequence[np.ndarray], columns: int
+) -> np.ndarray:
+    """The true AP state after a block: its first slice ran on the true
+    state, and every later program is self-contained and clean, so it sets
+    exactly its ``defined`` domains."""
+    truth = state[:columns].copy()
+    for index, program_defined in enumerate(defined[1:], start=1):
+        mask = program_defined.reshape(-1, 1, 1)
+        truth &= ~mask
+        truth |= state[index * columns : (index + 1) * columns] & mask
+    return truth
 
 
 def _execute_wave_chunk(
-    compiled: Sequence[_CompiledWaveProgram],
+    schedule: "_Schedule",
     plan: _ReplayPlan,
-    inputs_per_instance,
+    operands: List[List[np.ndarray]],
+    start: int,
+    stop: int,
+    total: int,
     rows: int,
-    columns: int,
 ) -> Optional[List[WaveResult]]:
-    staged = isinstance(inputs_per_instance, tuple)
-    if staged:
-        staged_inputs, chunk_start, chunk_stop = inputs_per_instance
-        instances = chunk_stop - chunk_start
-    else:
-        instances = len(inputs_per_instance)
-    state = np.zeros((columns, instances, rows), dtype=np.uint64)
-    fires = np.zeros((plan.slots, _MAX_PASSES, instances), dtype=np.int64)
+    """Run instances ``[start, stop)`` through every block of the schedule;
+    ``None`` when an operand value is out of range."""
+    instances = stop - start
+    columns = schedule.columns
+    fires = np.zeros((_MAX_PASSES, plan.slots, instances), dtype=np.int64)
     counts = np.zeros((plan.slots, instances), dtype=np.int64)
     # All instances' outputs in one matrix: slot order is (program order,
     # names sorted within each program), so ``stacked[instance]`` is exactly
     # the per-payload partial-sum matrix the inference reduction consumes.
-    stacked = np.empty(
-        (instances, sum(len(p.read_names) for p in compiled), rows), dtype=np.int64
-    )
-    slot = 0
-    for program_index, lowered in enumerate(compiled):
+    stacked = np.empty((instances, schedule.outputs, rows), dtype=np.int64)
+    truth: Optional[np.ndarray] = None
+    for block, block_operands in zip(schedule.blocks, operands):
+        state = np.zeros(
+            ((block.stop - block.start) * columns, instances, rows), dtype=np.uint64
+        )
+        if block.seeded and truth is not None:
+            state[:columns] = truth
         # Loading operands into the wave state is host work (the payload
         # fan-out), not CAM arithmetic: charge it to the ``host.stage``
         # ledger so the host/device split prices it honestly.
-        if staged:
-            with telemetry.span("host.stage", category="host", mode="wave-load"):
-                provided = staged_inputs.values[program_index]
-                for name, target, width in lowered.loads:
-                    _load(
-                        state, target, width, provided[name][chunk_start:chunk_stop]
-                    )
-        else:
-            with telemetry.span("host.stage", category="host", mode="gather"):
-                for name, target, width in lowered.loads:
-                    gathered = _gather_load(
-                        name, width, program_index, inputs_per_instance, rows
-                    )
-                    if gathered is None:
-                        _decline("invalid-input", name=name, program=program_index)
-                        return None
-                    _load(state, target, width, gathered)
-        base = plan.slot_bases[program_index]
-        _run_ops(
-            state,
-            lowered.ops,
-            fires[base : base + lowered.slots],
-            counts[base : base + lowered.slots],
-        )
-        for group in lowered.read_groups:
-            # One gather reads every output of the group: (outputs,
-            # instances, rows) -> (instances, outputs, rows).
-            words = state[group.columns]
-            if group.read.left:
-                words <<= group.read.left
-            values = words.view(np.int64)
-            values >>= group.read.right
-            if group.negated is not None:
-                values[group.negated] = -values[group.negated]
-            slots = group.slots
-            if isinstance(slots, slice):
-                slots = slice(slot + slots.start, slot + slots.stop)
-            else:
-                slots = slots + slot
-            stacked[:, slots] = values.transpose(1, 0, 2)
-        slot += len(lowered.read_names)
+        with telemetry.span("host.stage", category="host", mode="wave-load"):
+            if not _load_block(
+                state, schedule, block, block_operands, start, stop, total
+            ):
+                return None
+        _run_groups(state, schedule, block, fires, counts)
+        _read_block(state, schedule, block, stacked)
+        if block.tracks:
+            truth = _compose(
+                state, schedule.defined[block.start : block.stop], columns
+            )
 
     write_phases, written_bits, lockstep = _replay(plan, fires, counts, rows)
     search_phases = plan.search_phases
@@ -1147,28 +1558,22 @@ def _execute_wave_chunk(
     # equal each instance's own ``values.sum()`` bit for bit; the checksum
     # folds them as Python ints, exactly like a per-instance run.
     totals = stacked.sum(axis=2).tolist()
-    results: List[WaveResult] = []
-    for instance, (phases, bits, steps) in enumerate(
-        zip(write_phases.tolist(), written_bits.tolist(), lockstep.tolist())
-    ):
-        instance_rows = stacked[instance]
-        rows_list = list(instance_rows)
-        outputs_list: List[Dict[str, np.ndarray]] = []
-        position = 0
-        for lowered in compiled:
-            names = lowered.read_names
-            end = position + len(names)
-            outputs_list.append(dict(zip(names, rows_list[position:end])))
-            position = end
-        stats = CAMStats(
-            search_phases=search_phases,
-            searched_bits=searched_bits,
-            write_phases=phases,
-            written_bits=bits,
-            lockstep_shift_steps=steps,
-            track_shifts=steps * rows,
-            read_bits=read_bits,
-            loaded_bits=loaded_bits,
+    return [
+        (
+            CAMStats(
+                search_phases=search_phases,
+                searched_bits=searched_bits,
+                write_phases=phases,
+                written_bits=bits,
+                lockstep_shift_steps=steps,
+                track_shifts=steps * rows,
+                read_bits=read_bits,
+                loaded_bits=loaded_bits,
+            ),
+            sum(totals[instance]),
+            stacked[instance],
         )
-        results.append((stats, outputs_list, sum(totals[instance]), instance_rows))
-    return results
+        for instance, (phases, bits, steps) in enumerate(
+            zip(write_phases.tolist(), written_bits.tolist(), lockstep.tolist())
+        )
+    ]

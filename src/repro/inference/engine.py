@@ -102,14 +102,15 @@ class InferenceTileResult:
     address: tuple
     stats: CAMStats
     #: One ``{output name: integer partial-sum vector}`` dict per slice
-    #: program of the tile (real data, unlike the synthetic-path checksums).
+    #: program of the tile (real data, unlike the synthetic-path checksums);
+    #: empty when ``stacked_outputs`` carries them.
     outputs: Tuple[Dict[str, np.ndarray], ...]
     checksum: int
     duration_s: float
-    #: Optional bulk view of ``outputs``: all partial-sum vectors stacked as
-    #: one ``(total outputs, rows)`` matrix in (program order, sorted-name)
-    #: order.  Provided by the wave so the layer reduction can add the
-    #: whole instance in one indexed operation instead of per-name loops.
+    #: The wave's form of ``outputs``: all partial-sum vectors stacked as one
+    #: ``(total outputs, rows)`` matrix in (program order, sorted-name)
+    #: order, which the layer reduction adds in one indexed operation per
+    #: instance instead of per-name loops.
     stacked_outputs: Optional[np.ndarray] = None
 
 
@@ -239,7 +240,9 @@ def _plan_node(node, columns: int, technology, wave_capable: bool) -> _NodePlan:
         group = by_key.get(key)
         if group is None:
             load_widths = (
-                wave_staging_plan(tile.programs, columns, technology=technology)
+                wave_staging_plan(
+                    tile.programs, columns, tile.rows, technology=technology
+                )
                 if wave_capable
                 else None
             )
@@ -657,12 +660,12 @@ class BatchedInference:
                         )
                         slots.append(slot)
                         continue
-                    stats, outputs_list, checksum, stacked = wave[instance]
+                    stats, checksum, stacked = wave[instance]
                     results[slot] = InferenceTileResult(
                         image_index=image,
                         address=tuple(tile.address),
                         stats=stats,
-                        outputs=tuple(outputs_list),
+                        outputs=(),
                         checksum=checksum,
                         duration_s=duration,
                         stacked_outputs=stacked,

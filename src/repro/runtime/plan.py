@@ -98,9 +98,13 @@ class TileProgram:
         """Instructions this tile executes."""
         return sum(len(program) for program in self.programs)
 
-    @property
+    @cached_property
     def num_arithmetic_ops(self) -> int:
-        """Add/sub instructions this tile executes (#Adds/Subs share)."""
+        """Add/sub instructions this tile executes (#Adds/Subs share).
+
+        Cached like :attr:`max_column_used`: layer aggregation reads it for
+        every tile of every layer of every request.
+        """
         return sum(program.num_arithmetic_ops for program in self.programs)
 
     @cached_property

@@ -24,8 +24,10 @@ from repro.ap.backends import (
     register_backend,
     resolve_backend,
 )
+from repro.ap.backends import batched as batched_module
 from repro.ap.backends.batched import (
     StagedWaveInputs,
+    compile_program_wave,
     execute_program_wave,
     wave_staging_plan,
 )
@@ -39,7 +41,7 @@ from repro.ap.core import AssociativeProcessor
 from repro.ap.isa import APInstruction, APOpcode, APProgram, ColumnRegion
 from repro.ap.lut import all_luts, simulate_lut_passes
 from repro.errors import ConfigurationError
-from repro.rtm.timing import RTMTechnology
+from repro.rtm.timing import DEFAULT_RTM_TECHNOLOGY, RTMTechnology
 
 
 def run_both(program, inputs, rows=16, columns=16):
@@ -388,26 +390,39 @@ def per_instance_wave_baseline(
     return results
 
 
-def assert_wave_matches_baseline(wave_results, baseline):
+def lowered(programs, columns):
+    """Each program's wave lowering on the default technology."""
+    domains = DEFAULT_RTM_TECHNOLOGY.domains_per_nanowire
+    return [compile_program_wave(program, columns, domains) for program in programs]
+
+
+def wave_outputs(programs, stacked, columns):
+    """One ``{name: row vector}`` dict per program from a wave instance's
+    stacked outputs: rows follow each lowered program's ``read_names``."""
+    rows = iter(stacked)
+    return [
+        {name: next(rows) for name in program.read_names}
+        for program in lowered(programs, columns)
+    ]
+
+
+def assert_wave_matches_baseline(wave_results, baseline, programs, columns):
     assert len(wave_results) == len(baseline)
+    total_outputs = sum(len(program.output_columns) for program in programs)
     for got, expected in zip(wave_results, baseline):
-        got_stats, got_outputs, got_checksum, stacked = got
+        got_stats, got_checksum, stacked = got
         expected_stats, expected_outputs, expected_checksum = expected
         assert got_stats == expected_stats
         assert got_checksum == expected_checksum
+        assert stacked.dtype == np.int64
+        assert stacked.shape[0] == total_outputs
+        got_outputs = wave_outputs(programs, stacked, columns)
         assert len(got_outputs) == len(expected_outputs)
-        flat_rows = []
         for got_programs, expected_programs in zip(got_outputs, expected_outputs):
-            assert sorted(got_programs) == sorted(expected_programs)
+            # Stacked rows are in sorted-name order within each program.
+            assert list(got_programs) == sorted(expected_programs)
             for name in expected_programs:
                 assert np.array_equal(got_programs[name], expected_programs[name])
-            for name in sorted(got_programs):
-                flat_rows.append(np.asarray(got_programs[name], dtype=np.int64))
-        # The stacked matrix is the same data in (program order, sorted-name
-        # within program) row order - the bulk-reduction contract.
-        assert stacked.shape == (len(flat_rows), len(flat_rows[0]) if flat_rows else 0)
-        for row, values in zip(stacked, flat_rows):
-            assert np.array_equal(row, values)
 
 
 def add_tile(width, columns=4):
@@ -505,8 +520,303 @@ class TestGeneratedWaves:
             wave = execute_program_wave(programs, wave_inputs, rows, columns)
             assert wave is not None, f"seed {seed} declined"
             assert_wave_matches_baseline(
-                wave, per_instance_wave_baseline(programs, inputs, rows, columns)
+                wave,
+                per_instance_wave_baseline(programs, inputs, rows, columns),
+                programs,
+                columns,
             )
+
+
+def _domains(region):
+    return ((1 << region.width) - 1) << region.domain_offset
+
+
+def self_contained_program(rng, columns, max_width, num_instructions, name):
+    """A random program that reads only domains it defined itself.
+
+    Mirrors the wave lowering's definedness rule domain by domain: loads,
+    clears and written destinations define their domains, and the bits of a
+    narrow extra destination above its own width stay as defined as they
+    were.  Sources and outputs are drawn only from fully defined regions.
+    The program mixes in-place and out-of-place adds and subs, copies,
+    clears and narrow extra destinations, and one column may hold two
+    inputs at different offsets.
+    """
+    program = APProgram(name=name, carry_column=0)
+    defined = {}
+    regions = []
+
+    def region(column, width=None, offset=None):
+        width = int(rng.integers(2, max_width + 1)) if width is None else width
+        offset = int(rng.integers(0, 4)) if offset is None else offset
+        return ColumnRegion(column=column, width=width, domain_offset=offset)
+
+    def define(target):
+        defined[target.column] = defined.get(target.column, 0) | _domains(target)
+        if target not in regions:
+            regions.append(target)
+
+    def is_defined(target):
+        return defined.get(target.column, 0) & _domains(target) == _domains(target)
+
+    shared = int(rng.integers(1, columns))
+    low = region(shared, offset=0)
+    high = region(shared, offset=low.width + int(rng.integers(0, 3)))
+    inputs = {"x0": low, "x1": high}
+    for index in range(2, int(rng.integers(2, 5))):
+        inputs[f"x{index}"] = region(int(rng.integers(1, columns)))
+    program.input_columns = inputs
+    for target in inputs.values():
+        define(target)
+
+    for _ in range(num_instructions):
+        sources = [r for r in regions if is_defined(r)]
+        kind = rng.choice(
+            ["add", "sub", "copy", "clear"], p=[0.35, 0.35, 0.15, 0.15]
+        )
+        if kind in ("add", "sub") and len({r.column for r in sources}) >= 2:
+            src_a = sources[int(rng.integers(len(sources)))]
+            others = [r for r in sources if r.column != src_a.column]
+            src_b = others[int(rng.integers(len(others)))]
+            if rng.random() < 0.4:
+                opcode = (
+                    APOpcode.ADD_INPLACE if kind == "add" else APOpcode.SUB_INPLACE
+                )
+                dest = src_a if kind == "add" and rng.random() < 0.5 else src_b
+                instruction = APInstruction(
+                    opcode=opcode, dest=dest, src_a=src_a, src_b=src_b
+                )
+                define(dest)
+            else:
+                opcode = (
+                    APOpcode.ADD_OUTOFPLACE
+                    if kind == "add"
+                    else APOpcode.SUB_OUTOFPLACE
+                )
+                free = [
+                    column
+                    for column in range(1, columns)
+                    if column not in (src_a.column, src_b.column)
+                ]
+                picks = rng.permutation(free)[:2]
+                dest = region(int(picks[0]))
+                extra_dests = ()
+                if len(picks) > 1 and rng.random() < 0.4:
+                    # Often narrower than the instruction: a narrow extra
+                    # destination.
+                    width = int(rng.integers(1, dest.width + 2))
+                    extra_dests = (region(int(picks[1]), width=width),)
+                instruction = APInstruction(
+                    opcode=opcode,
+                    dest=dest,
+                    src_a=src_a,
+                    src_b=src_b,
+                    extra_dests=extra_dests,
+                )
+                define(dest)
+                for extra in extra_dests:
+                    define(extra)
+        elif kind == "copy":
+            src = sources[int(rng.integers(len(sources)))]
+            free = [c for c in range(1, columns) if c != src.column]
+            dest = region(int(rng.choice(free)))
+            instruction = APInstruction(opcode=APOpcode.COPY, dest=dest, src_a=src)
+            define(dest)
+        else:
+            target = region(int(rng.integers(1, columns)))
+            instruction = APInstruction(opcode=APOpcode.CLEAR, dest=target)
+            define(target)
+        program.append(instruction)
+    readable = [r for r in regions if is_defined(r)]
+    picks = rng.permutation(len(readable))[: int(rng.integers(1, 5))]
+    program.output_columns = {
+        f"y{index}": readable[pick] for index, pick in enumerate(picks)
+    }
+    program.output_negated = {
+        name: bool(rng.random() < 0.25) for name in program.output_columns
+    }
+    return program
+
+
+def self_contained_tile(rng):
+    """2-40 self-contained programs of unequal lengths over one geometry."""
+    columns = int(rng.integers(6, 16))
+    max_width = int(rng.integers(2, 25))
+    programs = [
+        self_contained_program(
+            rng, columns, max_width, int(rng.integers(1, 13)), f"s{index}"
+        )
+        for index in range(int(rng.integers(2, 41)))
+    ]
+    return programs, columns
+
+
+def random_program_tile(rng):
+    """2-8 ``harness.random_program`` programs: they read regions no load or
+    write of their own defined, so later ones start seeded blocks."""
+    columns = int(rng.integers(6, 14))
+    programs = [
+        random_program(
+            rng,
+            num_instructions=int(rng.integers(1, 10)),
+            columns=columns,
+            max_width=int(rng.integers(2, 20)),
+            extra_dest_probability=0.3,
+            name=f"r{index}",
+        )
+        for index in range(int(rng.integers(2, 9)))
+    ]
+    return programs, columns
+
+
+class TestLockstepWaves:
+    """Program-lockstep blocks against per-instance execution.
+
+    Self-contained programs run side by side in zeroed slices; programs
+    that read what a predecessor left start seeded blocks.  Forcing narrow
+    blocks (``_BLOCK_WORDS``) and one-instance chunks
+    (``_WAVE_CHUNK_BYTES``) must not change any result or counter.
+    """
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_self_contained_tiles_match_per_instance(self, block):
+        for seed in range(10 * block, 10 * block + 10):
+            rng = np.random.default_rng(9100 + seed)
+            programs, columns = self_contained_tile(rng)
+            compiled = lowered(programs, columns)
+            assert all(program.self_contained for program in compiled)
+            rows = int(rng.integers(1, 7))
+            inputs = [
+                [random_inputs(program, rows, rng) for program in programs]
+                for _ in range(int(rng.integers(1, 4)))
+            ]
+            wave_inputs = (
+                stage_values(programs, inputs, rows) if seed % 2 else inputs
+            )
+            wave = execute_program_wave(programs, wave_inputs, rows, columns)
+            assert wave is not None, f"seed {seed} declined"
+            assert_wave_matches_baseline(
+                wave,
+                per_instance_wave_baseline(programs, inputs, rows, columns),
+                programs,
+                columns,
+            )
+            # Nothing to seed: every block starts from zeroed slices.
+            schedule = batched_module._schedule(compiled, rows, columns)
+            assert not any(block.seeded for block in schedule.blocks)
+
+    @pytest.mark.parametrize(
+        "block_words, chunk_bytes", [(None, None), (1, None), (200, 1)]
+    )
+    def test_random_program_tiles_seed_blocks(
+        self, monkeypatch, block_words, chunk_bytes
+    ):
+        if block_words is not None:
+            monkeypatch.setattr(batched_module, "_BLOCK_WORDS", block_words)
+        if chunk_bytes is not None:
+            monkeypatch.setattr(batched_module, "_WAVE_CHUNK_BYTES", chunk_bytes)
+        seeded = 0
+        for seed in range(16):
+            rng = np.random.default_rng(9500 + seed)
+            programs, columns = random_program_tile(rng)
+            rows = int(rng.integers(1, 9))
+            inputs = [
+                [random_inputs(program, rows, rng) for program in programs]
+                for _ in range(int(rng.integers(1, 4)))
+            ]
+            wave = execute_program_wave(
+                programs, stage_values(programs, inputs, rows), rows, columns
+            )
+            assert wave is not None, f"seed {seed} declined"
+            assert_wave_matches_baseline(
+                wave,
+                per_instance_wave_baseline(programs, inputs, rows, columns),
+                programs,
+                columns,
+            )
+            schedule = batched_module._schedule(
+                lowered(programs, columns), rows, columns
+            )
+            seeded += any(block.seeded and block.start for block in schedule.blocks)
+        assert seeded, "no tile started a seeded block"
+
+    def test_dirty_program_before_a_stale_reader(self, rng):
+        """A narrow extra destination over domains its program never defined
+        leaves stale-dependent bits (``clean`` is false); when a later
+        program reads them, that program must run on the true AP state, so
+        the dirty one cannot share a zeroed block."""
+        h = ColumnRegion(column=4, width=8, domain_offset=6)
+        keep = single_instruction_program(
+            APInstruction(
+                opcode=APOpcode.COPY,
+                dest=ColumnRegion(column=5, width=8),
+                src_a=h,
+            ),
+            {"h": h},
+            {"o": ColumnRegion(column=5, width=8)},
+        )
+        a = ColumnRegion(column=1, width=10)
+        b = ColumnRegion(column=2, width=10)
+        narrow = ColumnRegion(column=4, width=4, domain_offset=2)
+        dirty = region_program(
+            APOpcode.ADD_OUTOFPLACE,
+            a,
+            b,
+            ColumnRegion(column=3, width=10),
+            extra_dests=(narrow,),
+        )
+        reader = single_instruction_program(
+            APInstruction(opcode=APOpcode.CLEAR, dest=ColumnRegion(column=6, width=3)),
+            {},
+            {"h": h},
+        )
+        programs = [keep, dirty, reader]
+        compiled = lowered(programs, 7)
+        assert compiled[1].self_contained and not compiled[1].clean
+        assert not compiled[2].self_contained
+        rows = 12
+        inputs = []
+        for _ in range(3):
+            values = random_inputs(dirty, rows, rng)
+            inputs.append([{"h": np.full(rows, -1)}, values, {}])
+        wave = execute_program_wave(programs, inputs, rows, 7)
+        assert wave is not None
+        assert_wave_matches_baseline(
+            wave,
+            per_instance_wave_baseline(programs, inputs, rows, 7, "reference"),
+            programs,
+            7,
+        )
+        schedule = batched_module._schedule(compiled, rows, 7)
+        assert [block.start for block in schedule.blocks] == [0, 1, 2]
+
+    @pytest.mark.parametrize("block_words", [1, 40, 400])
+    def test_forced_block_and_chunk_splits(self, rng, monkeypatch, block_words):
+        programs, columns = self_contained_tile(rng)
+        rows = 3
+        inputs = [
+            [random_inputs(program, rows, rng) for program in programs]
+            for _ in range(5)
+        ]
+        whole = execute_program_wave(programs, inputs, rows, columns)
+        monkeypatch.setattr(batched_module, "_BLOCK_WORDS", block_words)
+        monkeypatch.setattr(batched_module, "_WAVE_CHUNK_BYTES", 1)
+        split = execute_program_wave(programs, inputs, rows, columns)
+        compiled = lowered(programs, columns)
+        schedule = batched_module._schedule(compiled, rows, columns)
+        assert len(schedule.blocks) > 1
+        plan = batched_module._replay_plan(compiled)
+        assert schedule.chunk(rows, len(inputs), plan) == 1
+        for left, right in zip(whole, split):
+            assert left[0] == right[0]
+            assert left[1] == right[1]
+            assert np.array_equal(left[2], right[2])
+        assert_wave_matches_baseline(
+            split,
+            per_instance_wave_baseline(programs, inputs, rows, columns),
+            programs,
+            columns,
+        )
 
 
 class TestWaveExecution:
@@ -537,7 +847,10 @@ class TestWaveExecution:
         if wave is None:
             pytest.skip("fuzzed program drew a shape outside the wave subset")
         assert_wave_matches_baseline(
-            wave, per_instance_wave_baseline(programs, inputs, rows, 12)
+            wave,
+            per_instance_wave_baseline(programs, inputs, rows, 12),
+            programs,
+            12,
         )
 
     def test_fuzzed_waves_accept_or_match(self):
@@ -561,7 +874,10 @@ class TestWaveExecution:
                 continue
             accepted += 1
             assert_wave_matches_baseline(
-                wave, per_instance_wave_baseline(programs, inputs, rows, columns)
+                wave,
+                per_instance_wave_baseline(programs, inputs, rows, columns),
+                programs,
+                columns,
             )
         assert accepted >= 5, f"wave accepted only {accepted}/10 fuzzed tiles"
 
@@ -581,7 +897,10 @@ class TestWaveExecution:
         wave = execute_program_wave(programs, inputs, rows, columns)
         assert wave is not None
         assert_wave_matches_baseline(
-            wave, per_instance_wave_baseline(programs, inputs, rows, columns)
+            wave,
+            per_instance_wave_baseline(programs, inputs, rows, columns),
+            programs,
+            columns,
         )
 
     @pytest.mark.parametrize(
@@ -606,7 +925,10 @@ class TestWaveExecution:
         wave = execute_program_wave([program], inputs, 7, 4)
         assert wave is not None
         assert_wave_matches_baseline(
-            wave, per_instance_wave_baseline([program], inputs, 7, 4, "reference")
+            wave,
+            per_instance_wave_baseline([program], inputs, 7, 4, "reference"),
+            [program],
+            4,
         )
 
     @pytest.mark.parametrize("inplace", [False, True])
@@ -632,7 +954,10 @@ class TestWaveExecution:
         wave = execute_program_wave([program], inputs, rows, 5)
         assert wave is not None
         assert_wave_matches_baseline(
-            wave, per_instance_wave_baseline([program], inputs, rows, 5, "reference")
+            wave,
+            per_instance_wave_baseline([program], inputs, rows, 5, "reference"),
+            [program],
+            5,
         )
 
     @pytest.mark.parametrize(
@@ -661,14 +986,15 @@ class TestWaveExecution:
         wave = execute_program_wave([program], inputs, rows, 5)
         assert wave is not None
         assert_wave_matches_baseline(
-            wave, per_instance_wave_baseline([program], inputs, rows, 5, "reference")
+            wave,
+            per_instance_wave_baseline([program], inputs, rows, 5, "reference"),
+            [program],
+            5,
         )
 
     def test_declines_nanowires_longer_than_a_word(self, rng, monkeypatch):
         """65 domains do not fit one uint64 word: the wave declines through
         ``_decline("geometry")`` and the staging pre-flight refuses too."""
-        from repro.ap.backends import batched as batched_module
-
         reasons = []
         monkeypatch.setattr(
             batched_module, "_decline", lambda reason, **_: reasons.append(reason)
@@ -681,7 +1007,7 @@ class TestWaveExecution:
             is None
         )
         assert reasons == ["geometry"]
-        assert wave_staging_plan(programs, columns, technology=technology) is None
+        assert wave_staging_plan(programs, columns, 4, technology=technology) is None
 
     def test_per_instance_stats_diverge_with_data(self):
         """Write-phase counters are data-dependent and tracked per instance."""
@@ -692,8 +1018,8 @@ class TestWaveExecution:
                  "b": np.zeros(rows, dtype=np.int64)}]
         wave = execute_program_wave(programs, [busy, idle], rows, columns)
         assert wave is not None
-        busy_stats, _, busy_checksum, _ = wave[0]
-        idle_stats, _, idle_checksum, _ = wave[1]
+        busy_stats, busy_checksum, _ = wave[0]
+        idle_stats, idle_checksum, _ = wave[1]
         assert busy_stats.write_phases > idle_stats.write_phases
         assert busy_checksum != idle_checksum
         # Data-independent counters stay identical across instances.
@@ -701,19 +1027,17 @@ class TestWaveExecution:
 
     def test_chunked_wave_byte_identical(self, rng, monkeypatch):
         """Chunking (bounded stacked state) must not change any observable."""
-        from repro.ap.backends import batched as batched_module
-
         programs, columns = add_tile(7)
         rows = 5
         inputs = self._tile_inputs(programs, rows, instances=6, rng=rng)
         whole = execute_program_wave(programs, inputs, rows, columns)
-        monkeypatch.setattr(batched_module, "_MAX_WAVE_STATE_BYTES", 1)
+        monkeypatch.setattr(batched_module, "_WAVE_CHUNK_BYTES", 1)
         chunked = execute_program_wave(programs, inputs, rows, columns)
         assert whole is not None and chunked is not None
         for left, right in zip(whole, chunked):
             assert left[0] == right[0]
-            assert left[2] == right[2]
-            assert np.array_equal(left[3], right[3])
+            assert left[1] == right[1]
+            assert np.array_equal(left[2], right[2])
 
     def test_empty_wave_returns_empty(self):
         programs, columns = add_tile(5)
@@ -780,21 +1104,24 @@ class TestStagedWaveExecution:
         assert baseline is not None and staged is not None
         for legacy, wave in zip(baseline, staged):
             assert legacy[0] == wave[0]
-            assert legacy[2] == wave[2]
-            assert np.array_equal(legacy[3], wave[3])
+            assert legacy[1] == wave[1]
+            assert np.array_equal(legacy[2], wave[2])
 
     def test_staging_plan_reports_load_widths(self):
         programs, columns = add_tile(7)
-        assert wave_staging_plan(programs, columns) == [{"a": 7, "b": 7}]
+        assert wave_staging_plan(programs, columns, 6) == [{"a": 7, "b": 7}]
+        # The tile's lockstep schedule is built here, at deploy, not by the
+        # first request.
+        plans = lowered(programs, columns)[0].sequence_plans.values()
+        assert any(isinstance(plan, batched_module._Schedule) for plan in plans)
 
     def test_staging_plan_declines_bad_geometry(self):
         programs, _ = add_tile(7)
-        assert wave_staging_plan(programs, 0) is None
-        assert wave_staging_plan(programs, 4, carry_column=3) is None
+        assert wave_staging_plan(programs, 0, 4) is None
+        assert wave_staging_plan(programs, 4, 0) is None
+        assert wave_staging_plan(programs, 4, 4, carry_column=3) is None
 
     def test_staged_chunking_byte_identical(self, rng, monkeypatch):
-        from repro.ap.backends import batched as batched_module
-
         programs, columns = add_tile(7)
         rows = 5
         inputs = [
@@ -803,13 +1130,13 @@ class TestStagedWaveExecution:
         ]
         staged = stage_values(programs, inputs, rows)
         whole = execute_program_wave(programs, staged, rows, columns)
-        monkeypatch.setattr(batched_module, "_MAX_WAVE_STATE_BYTES", 1)
+        monkeypatch.setattr(batched_module, "_WAVE_CHUNK_BYTES", 1)
         chunked = execute_program_wave(programs, staged, rows, columns)
         assert whole is not None and chunked is not None
         for left, right in zip(whole, chunked):
             assert left[0] == right[0]
-            assert left[2] == right[2]
-            assert np.array_equal(left[3], right[3])
+            assert left[1] == right[1]
+            assert np.array_equal(left[2], right[2])
 
     def test_staged_malformed_declines(self, rng):
         """Shape, dtype, range and arity mismatches all decline cleanly."""
