@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from repro.core.compiler import CompilerConfig, compile_model
-from repro.core.cse import cse_from_weight_slice
-from repro.core.folding import fold_weight_slice, unrolled_op_count
 from repro.core.cse import eliminate_common_subexpressions
+from repro.core.folding import fold_weight_slice, unrolled_op_count
 from repro.core.report import compare_configurations
 from repro.eval.reporting import format_table
 
@@ -103,7 +102,7 @@ def test_cse_scaling_with_kernel_size(benchmark, save_report):
     rows = []
     for kernel in (1, 3, 5, 7):
         weight_slice = synthetic_ternary_weights((64, kernel * kernel), 0.8, rng=kernel)
-        result = cse_from_weight_slice(weight_slice)
+        result = eliminate_common_subexpressions(weight_slice)
         original = unrolled_op_count(weight_slice)
         optimized = result.fused_total_operations
         reduction = 1.0 - optimized / max(1, original)
@@ -120,7 +119,7 @@ def test_cse_scaling_with_kernel_size(benchmark, save_report):
     )
 
     benchmark(
-        lambda: cse_from_weight_slice(
+        lambda: eliminate_common_subexpressions(
             synthetic_ternary_weights((64, 49), 0.8, rng=7)
         )
     )

@@ -11,21 +11,12 @@ adding).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.ap.isa import APInstruction, APOpcode, APProgram, ColumnRegion
 from repro.core.dfg import ChannelDFG
 from repro.core.scheduling import Schedule
 from repro.errors import CompilationError
-
-
-def _region(schedule: Schedule, node_id: int, domain_offset: int = 0) -> ColumnRegion:
-    """Column region descriptor of a node's slot."""
-    return ColumnRegion(
-        column=schedule.column_of_node(node_id),
-        width=schedule.width_of_node(node_id),
-        domain_offset=domain_offset,
-    )
 
 
 def generate_program(
@@ -48,28 +39,47 @@ def generate_program(
     """
     dfg: ChannelDFG = schedule.dfg
     program = APProgram(name=name, carry_column=carry_column)
+    slot_of_node = schedule.slot_of_node
+    slot_column = schedule.slot_column
+    slot_width = schedule.slot_width
 
-    # Inputs: the im2col patch elements.
+    # Inputs: the im2col patch elements.  Input operands keep this declared
+    # (activation-width) region so the executed instruction sign-extends them
+    # correctly.
+    input_region: Dict[int, ColumnRegion] = {}
     for patch_index, node_id in sorted(dfg.input_nodes.items()):
-        region = ColumnRegion(
-            column=schedule.column_of_node(node_id),
-            width=max(activation_bits, schedule.width_of_node(node_id)),
+        slot = slot_of_node[node_id]
+        declared = ColumnRegion(
+            column=slot_column[slot],
+            width=max(activation_bits, slot_width[slot]),
             domain_offset=domain_offset,
         )
-        program.input_columns[f"x{patch_index}"] = region
+        program.input_columns[f"x{patch_index}"] = declared
+        input_region[node_id] = declared
+
+    def region(node_id: int) -> ColumnRegion:
+        """Column region of a node's slot; inputs keep their declared region."""
+        declared = input_region.get(node_id)
+        if declared is not None:
+            return declared
+        slot = slot_of_node[node_id]
+        return ColumnRegion(
+            column=slot_column[slot],
+            width=slot_width[slot],
+            domain_offset=domain_offset,
+        )
 
     # Operations in schedule order.
     for scheduled in schedule.ops:
         node = dfg.nodes[scheduled.node_id]
-        dest = _region(schedule, scheduled.node_id, domain_offset)
-        lhs = _region(schedule, scheduled.lhs, domain_offset)
-        rhs = _region(schedule, scheduled.rhs, domain_offset)
-        # Input operands keep their declared (activation-width) region so the
-        # executed instruction sign-extends them correctly.
-        if scheduled.lhs in dfg.input_nodes.values():
-            lhs = program.input_columns[_input_name(dfg, scheduled.lhs)]
-        if scheduled.rhs in dfg.input_nodes.values():
-            rhs = program.input_columns[_input_name(dfg, scheduled.rhs)]
+        slot = slot_of_node[scheduled.node_id]
+        dest = ColumnRegion(
+            column=slot_column[slot],
+            width=slot_width[slot],
+            domain_offset=domain_offset,
+        )
+        lhs = region(scheduled.lhs)
+        rhs = region(scheduled.rhs)
 
         if node.op == "add":
             if scheduled.inplace:
@@ -143,18 +153,6 @@ def generate_program(
             program.output_negated[name_out] = False
             continue
         node_id, sign = reference
-        if node_id in dfg.input_nodes.values():
-            region = program.input_columns[_input_name(dfg, node_id)]
-        else:
-            region = _region(schedule, node_id, domain_offset)
-        program.output_columns[name_out] = region
+        program.output_columns[name_out] = region(node_id)
         program.output_negated[name_out] = sign < 0
     return program
-
-
-def _input_name(dfg: ChannelDFG, node_id: int) -> str:
-    """Input name ("x<k>") of an input node id."""
-    for patch_index, candidate in dfg.input_nodes.items():
-        if candidate == node_id:
-            return f"x{patch_index}"
-    raise CompilationError(f"node {node_id} is not an input node")

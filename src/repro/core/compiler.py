@@ -16,16 +16,19 @@ Two granularities are offered:
 
 from __future__ import annotations
 
+import gc
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.arch.config import ArchitectureConfig
-from repro.core.bitwidth import ValueRange, activation_range
-from repro.core.cse import CSEResult, cse_from_weight_slice, eliminate_common_subexpressions
+from repro.core.bitwidth import activation_range
+from repro.core.cse import CSEResult, eliminate_common_subexpressions
 from repro.core.dfg import ChannelDFG, build_channel_dfg
-from repro.core.expr import LinearExpression, Term
+from repro.core.expr import LinearExpression
 from repro.core.folding import fold_weight_slice
 from repro.core.codegen import generate_program
 from repro.core.mapping import LayerMapping, map_layer
@@ -33,6 +36,7 @@ from repro.core.scheduling import Schedule, schedule_dfg
 from repro.ap.isa import APProgram
 from repro.errors import CompilationError
 from repro.nn.stats import ConvLayerSpec
+from repro.utils.bitops import bits_for_signed_range
 from repro.utils.validation import check_positive
 
 
@@ -112,24 +116,6 @@ class SliceStatistics:
         return self.dfg_ops + self.accumulation_ops
 
 
-def _term_range(
-    term: Term, sign: int, input_range: ValueRange, temp_ranges: Dict[int, ValueRange]
-) -> ValueRange:
-    base = input_range if term.kind == "input" else temp_ranges[term.index]
-    return -base if sign < 0 else base
-
-
-def _expression_range(
-    expression: LinearExpression,
-    input_range: ValueRange,
-    temp_ranges: Dict[int, ValueRange],
-) -> ValueRange:
-    total = ValueRange(0, 0)
-    for term, sign in expression:
-        total = total + _term_range(term, sign, input_range, temp_ranges)
-    return total
-
-
 def _slice_statistics(
     channel_index: int,
     rows: Sequence[LinearExpression],
@@ -137,9 +123,30 @@ def _slice_statistics(
     unrolled_ops: int,
     config: CompilerConfig,
 ) -> SliceStatistics:
-    """Compute the statistics of one slice without materialising a DFG."""
+    """Compute the statistics of one slice without materialising a DFG.
+
+    Value ranges are carried as plain ``(lo, hi)`` integer pairs: a term adds
+    its operand's range, a negated term subtracts it.
+    """
     input_range = activation_range(config.activation_bits, config.signed_activations)
-    temp_ranges: Dict[int, ValueRange] = {}
+    input_lo, input_hi = input_range.lo, input_range.hi
+    temp_ranges: Dict[int, Tuple[int, int]] = {}
+
+    def expression_range(terms) -> Tuple[int, int]:
+        lo = hi = 0
+        for term, sign in terms:
+            if term.kind == "input":
+                term_lo, term_hi = input_lo, input_hi
+            else:
+                term_lo, term_hi = temp_ranges[term.index]
+            if sign < 0:
+                lo -= term_hi
+                hi -= term_lo
+            else:
+                lo += term_lo
+                hi += term_hi
+        return lo, hi
+
     histogram: Dict[int, int] = {}
     dfg_ops = 0
     inplace_ops = 0
@@ -147,9 +154,11 @@ def _slice_statistics(
 
     definitions = cse_result.definitions if cse_result is not None else []
     for definition in definitions:
-        rng = _expression_range(definition.expression, input_range, temp_ranges)
-        temp_ranges[definition.temp.index] = rng
-        histogram[rng.width] = histogram.get(rng.width, 0) + 1
+        lo, hi = temp_ranges[definition.temp.index] = expression_range(
+            (definition.first, definition.second)
+        )
+        width = bits_for_signed_range(lo, hi)
+        histogram[width] = histogram.get(width, 0) + 1
         dfg_ops += 1
         outofplace_ops += 1
 
@@ -161,8 +170,7 @@ def _slice_statistics(
         accumulation_ops += 1
         if num_terms < 2:
             continue
-        rng = _expression_range(row, input_range, temp_ranges)
-        width = rng.width
+        width = bits_for_signed_range(*expression_range(row))
         chain_ops = num_terms - 1
         histogram[width] = histogram.get(width, 0) + chain_ops
         dfg_ops += chain_ops
@@ -209,11 +217,10 @@ def _slice_statistics_from_weights(
         accumulation_ops += 1
         if num_terms < 2:
             continue
-        row_range = ValueRange(
+        width = bits_for_signed_range(
             int(pos) * input_range.lo - int(neg) * input_range.hi,
             int(pos) * input_range.hi - int(neg) * input_range.lo,
         )
-        width = row_range.width
         chain_ops = num_terms - 1
         histogram[width] = histogram.get(width, 0) + chain_ops
         dfg_ops += chain_ops
@@ -254,16 +261,15 @@ def compile_slice(
 ) -> CompiledSlice:
     """Compile one ``(Cout, Fh*Fw)`` ternary weight slice to an AP program."""
     config = config or CompilerConfig()
-    rows = fold_weight_slice(weight_slice)
     unrolled_ops = int(np.count_nonzero(np.asarray(weight_slice)))
     cse_result: Optional[CSEResult] = None
     if config.enable_cse:
         cse_result = eliminate_common_subexpressions(
-            rows, min_occurrences=config.min_cse_occurrences
+            np.asarray(weight_slice), min_occurrences=config.min_cse_occurrences
         )
         working_rows = cse_result.rows
     else:
-        working_rows = rows
+        working_rows = fold_weight_slice(weight_slice)
     dfg = build_channel_dfg(
         working_rows,
         definitions=cse_result,
@@ -371,7 +377,7 @@ def compile_layer(
             slices.append(compiled)
         elif config.enable_cse:
             slice_unrolled = int(np.count_nonzero(weight_slice))
-            cse_result = cse_from_weight_slice(
+            cse_result = eliminate_common_subexpressions(
                 weight_slice, min_occurrences=config.min_cse_occurrences
             )
             statistics = _slice_statistics(
@@ -450,6 +456,46 @@ class CompiledModel:
         raise CompilationError(f"no compiled layer named {name!r}")
 
 
+_gc_pause_lock = threading.Lock()
+_gc_pause_depth = 0
+_gc_was_enabled = False
+
+
+@contextmanager
+def _cyclic_gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector while the block runs.
+
+    Compilation allocates millions of small objects (DFG nodes, schedules,
+    instructions) that form no reference cycles, so reference counting frees
+    every temporary; the generational collector would only rescan the
+    growing compiled model, again and again (about 45% of a full-width
+    ResNet-18 compile).  Nested and concurrent pauses share one depth count,
+    and the last one out restores the collector's previous state.  Unless
+    the process froze objects itself (``gc.freeze``), the last one out also
+    moves the survivors straight into the oldest generation.
+    """
+    global _gc_pause_depth, _gc_was_enabled
+    with _gc_pause_lock:
+        if _gc_pause_depth == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_pause_depth += 1
+    try:
+        yield
+    finally:
+        with _gc_pause_lock:
+            _gc_pause_depth -= 1
+            if _gc_pause_depth == 0 and _gc_was_enabled:
+                if gc.get_freeze_count() == 0:
+                    # Freezing and unfreezing moves every tracked object,
+                    # the new compiled model included, into the oldest
+                    # generation without a traversal, so the young
+                    # collections that follow do not rescan it.
+                    gc.freeze()
+                    gc.unfreeze()
+                gc.enable()
+
+
 def compile_model(
     specs: Sequence[ConvLayerSpec],
     config: Optional[CompilerConfig] = None,
@@ -458,5 +504,8 @@ def compile_model(
 ) -> CompiledModel:
     """Compile every layer of a network."""
     config = config or CompilerConfig()
-    layers = [compile_layer(spec, config, emit_programs=emit_programs) for spec in specs]
+    with _cyclic_gc_paused():
+        layers = [
+            compile_layer(spec, config, emit_programs=emit_programs) for spec in specs
+        ]
     return CompiledModel(name=name, config=config, layers=layers)

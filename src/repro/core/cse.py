@@ -11,17 +11,19 @@ This greedy two-term elimination is the classic Hartley-style CSE used for
 multiple-constant multiplication and reproduces the paper's Eq. 1 example
 exactly: the 6x6 ternary MVM drops from ~20 operations to 7.
 
-Implementation note: the public entry points work on
-:class:`~repro.core.expr.LinearExpression` objects, but the search itself runs
-on an integer-encoded representation with an incremental pattern index
-(`_FastCSE`), because networks like ResNet-18 contain thousands of weight
-slices and a naive re-count per extraction is far too slow.
+Implementation note: the entry point takes folded
+:class:`~repro.core.expr.LinearExpression` rows or the ternary weight slice
+itself and returns expressions, but the search runs on an integer-encoded
+representation with an incremental pattern index and a bucket queue of
+pattern counts (`_FastCSE`), because networks like ResNet-18 contain
+thousands of weight slices and a naive re-count per extraction is far too
+slow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -113,6 +115,10 @@ class CSEResult:
 # ----------------------------------------------------------------------
 # Fast integer-encoded engine
 # ----------------------------------------------------------------------
+#: Canonical integer pattern ``(a, b, relative_sign)`` with ``a < b``.
+Pattern = Tuple[int, int, int]
+
+
 class _FastCSE:
     """Greedy pair CSE on integer-encoded rows with an incremental index.
 
@@ -120,8 +126,9 @@ class _FastCSE:
     and temporaries continue from ``num_inputs``.  Each row is a dict
     ``code -> sign``.  The pattern index maps a canonical pattern
     ``(a, b, relative_sign)`` (with ``a < b``) to the set of rows containing
-    it, which makes both "find the most frequent pattern" and "rewrite the
-    affected rows" proportional to the work actually done.
+    it, and a bucket queue maps every occurrence count to the patterns that
+    occur that often.  Both "find the most frequent pattern" and "rewrite the
+    affected rows" are therefore proportional to the work actually done.
     """
 
     def __init__(self, rows: List[Dict[int, int]], num_inputs: int) -> None:
@@ -129,50 +136,67 @@ class _FastCSE:
         self.num_inputs = num_inputs
         self.next_code = num_inputs
         #: pattern -> set of row indices currently containing it.
-        self.index: Dict[Tuple[int, int, int], Set[int]] = {}
+        self.index: Dict[Pattern, Set[int]] = {}
+        #: occurrence count -> patterns with that many rows (no empty buckets).
+        self.buckets: Dict[int, Set[Pattern]] = {}
         #: extracted definitions: (temp_code, a_code, b_code, relative_sign).
         self.definitions: List[Tuple[int, int, int, int]] = []
-        for row_index, row in enumerate(self.rows):
-            codes = list(row)
-            for i in range(len(codes)):
-                for j in range(i + 1, len(codes)):
-                    self._index_add(row_index, codes[i], codes[j])
+        index = self.index
+        for row_index, row in enumerate(rows):
+            items = sorted(row.items())
+            for i, (a, sign_a) in enumerate(items):
+                for b, sign_b in items[i + 1 :]:
+                    index.setdefault((a, b, sign_a * sign_b), set()).add(row_index)
+        for key, key_rows in index.items():
+            self.buckets.setdefault(len(key_rows), set()).add(key)
 
     # ------------------------------------------------------------------
-    def _pattern(self, row: Dict[int, int], a: int, b: int) -> Tuple[int, int, int]:
-        if b < a:
-            a, b = b, a
-        return (a, b, row[a] * row[b])
+    def _move(self, key: Pattern, old_count: int, new_count: int) -> None:
+        """Move ``key`` from the ``old_count`` bucket to the ``new_count`` one."""
+        buckets = self.buckets
+        if old_count:
+            bucket = buckets[old_count]
+            bucket.discard(key)
+            if not bucket:
+                del buckets[old_count]
+        if new_count:
+            buckets.setdefault(new_count, set()).add(key)
 
     def _index_add(self, row_index: int, a: int, b: int) -> None:
-        key = self._pattern(self.rows[row_index], a, b)
-        self.index.setdefault(key, set()).add(row_index)
+        row = self.rows[row_index]
+        key = (a, b, row[a] * row[b]) if a < b else (b, a, row[a] * row[b])
+        rows = self.index.setdefault(key, set())
+        if row_index not in rows:
+            rows.add(row_index)
+            self._move(key, len(rows) - 1, len(rows))
 
     def _index_remove(self, row_index: int, a: int, b: int) -> None:
-        key = self._pattern(self.rows[row_index], a, b)
+        row = self.rows[row_index]
+        key = (a, b, row[a] * row[b]) if a < b else (b, a, row[a] * row[b])
         rows = self.index.get(key)
-        if rows is not None:
+        if rows is not None and row_index in rows:
             rows.discard(row_index)
+            self._move(key, len(rows) + 1, len(rows))
             if not rows:
                 del self.index[key]
 
     # ------------------------------------------------------------------
     def run(self, min_occurrences: int, max_temporaries: Optional[int]) -> None:
-        """Extract patterns until none occurs at least ``min_occurrences`` times."""
-        while max_temporaries is None or len(self.definitions) < max_temporaries:
-            best_key = None
-            best_count = 0
-            for key, rows in self.index.items():
-                count = len(rows)
-                if count > best_count or (
-                    count == best_count and best_key is not None and key < best_key
-                ):
-                    best_key, best_count = key, count
-            if best_key is None or best_count < min_occurrences:
-                break
-            self._extract(best_key)
+        """Extract patterns until none occurs at least ``min_occurrences`` times.
 
-    def _extract(self, key: Tuple[int, int, int]) -> None:
+        Each step extracts the most frequent pattern, the smallest key among
+        equally frequent ones.
+        """
+        buckets = self.buckets
+        while max_temporaries is None or len(self.definitions) < max_temporaries:
+            if not buckets:
+                break
+            best_count = max(buckets)
+            if best_count < min_occurrences:
+                break
+            self._extract(min(buckets[best_count]))
+
+    def _extract(self, key: Pattern) -> None:
         a, b, relative_sign = key
         temp_code = self.next_code
         self.next_code += 1
@@ -196,13 +220,6 @@ class _FastCSE:
             for other in others:
                 self._index_add(row_index, temp_code, other)
 
-    # ------------------------------------------------------------------
-    def decode_term(self, code: int, temp_index_of: Dict[int, int]) -> Term:
-        """Translate an integer code back into a :class:`Term`."""
-        if code < self.num_inputs:
-            return Term.input(code)
-        return Term.temp(temp_index_of[code])
-
 
 def _encode_rows(
     rows: Sequence[LinearExpression],
@@ -224,28 +241,52 @@ def _encode_rows(
     return encoded, max_input + 1
 
 
+def _encode_weight_slice(weight_slice: np.ndarray) -> Tuple[List[Dict[int, int]], int]:
+    """Encode a ternary ``(Cout, K)`` weight slice into integer-keyed row dicts."""
+    weight_slice = check_ternary(np.asarray(weight_slice), name="weight slice")
+    if weight_slice.ndim != 2:
+        raise CompilationError(
+            f"weight slice must be 2-D (Cout, Fh*Fw), got shape {weight_slice.shape}"
+        )
+    rows, columns = np.nonzero(weight_slice)
+    encoded: List[Dict[int, int]] = [{} for _ in range(weight_slice.shape[0])]
+    for row, column, sign in zip(
+        rows.tolist(), columns.tolist(), weight_slice[rows, columns].tolist()
+    ):
+        encoded[row][column] = sign
+    return encoded, weight_slice.shape[1]
+
+
 def _build_result(
     engine: _FastCSE,
     original_operations: int,
     first_temp_index: int,
 ) -> CSEResult:
     """Translate the engine state back into the public CSEResult form."""
-    temp_index_of: Dict[int, int] = {}
-    definitions: List[CSEDefinition] = []
-    for offset, (temp_code, a, b, relative_sign) in enumerate(engine.definitions):
-        temp_index = first_temp_index + offset
-        temp_index_of[temp_code] = temp_index
-        first = (engine.decode_term(a, temp_index_of), 1)
-        second = (engine.decode_term(b, temp_index_of), relative_sign)
-        definitions.append(
-            CSEDefinition(temp=Term.temp(temp_index), first=first, second=second)
+    # Temporaries are numbered in definition order.  Every reference gets
+    # its own Term object.
+    num_inputs = engine.num_inputs
+    temp_base = first_temp_index - num_inputs
+
+    def decode(code: int) -> Term:
+        if code < num_inputs:
+            return Term("input", code)
+        return Term("temp", code + temp_base)
+
+    definitions = [
+        CSEDefinition(
+            temp=Term("temp", temp_code + temp_base),
+            first=(decode(a), 1),
+            second=(decode(b), relative_sign),
         )
-    rows: List[LinearExpression] = []
-    for row in engine.rows:
-        expression = LinearExpression()
-        for code, sign in row.items():
-            expression.add_term(engine.decode_term(code, temp_index_of), sign)
-        rows.append(expression)
+        for temp_code, a, b, relative_sign in engine.definitions
+    ]
+    rows = [
+        LinearExpression.from_unique_terms(
+            {decode(code): sign for code, sign in row.items()}
+        )
+        for row in engine.rows
+    ]
     return CSEResult(
         definitions=definitions,
         rows=rows,
@@ -254,10 +295,10 @@ def _build_result(
 
 
 # ----------------------------------------------------------------------
-# Public entry points
+# Public entry point
 # ----------------------------------------------------------------------
 def eliminate_common_subexpressions(
-    rows: Sequence[LinearExpression],
+    rows: Union[Sequence[LinearExpression], np.ndarray],
     min_occurrences: int = 2,
     max_temporaries: Optional[int] = None,
     first_temp_index: int = 0,
@@ -265,8 +306,10 @@ def eliminate_common_subexpressions(
     """Greedy two-term CSE over the output-channel expressions of one slice.
 
     Args:
-        rows: folded expressions (one per output channel), over input terms
-            only.  They are copied; the inputs are not modified.
+        rows: folded expressions (one per output channel) over input terms
+            only, or the ternary ``(Cout, Fh*Fw)`` weight slice they fold
+            from - the whole-network compiler passes the slice and never
+            builds the expression objects.  The inputs are not modified.
         min_occurrences: a pattern must occur at least this often (counting a
             pattern and its negation together) to be extracted.
         max_temporaries: optional cap on extracted temporaries.
@@ -278,39 +321,11 @@ def eliminate_common_subexpressions(
     """
     if min_occurrences < 2:
         raise CompilationError(f"min_occurrences must be >= 2, got {min_occurrences}")
-    original_operations = sum(row.num_operations for row in rows)
-    encoded, num_inputs = _encode_rows(rows)
-    engine = _FastCSE(encoded, num_inputs)
-    engine.run(min_occurrences, max_temporaries)
-    return _build_result(engine, original_operations, first_temp_index)
-
-
-def cse_from_weight_slice(
-    weight_slice: np.ndarray,
-    min_occurrences: int = 2,
-    max_temporaries: Optional[int] = None,
-    first_temp_index: int = 0,
-) -> CSEResult:
-    """Run CSE directly on a ternary ``(Cout, Fh*Fw)`` weight slice.
-
-    Equivalent to ``eliminate_common_subexpressions(fold_weight_slice(slice))``
-    but skips the intermediate expression objects - this is the path the
-    whole-network compiler takes.
-    """
-    weight_slice = check_ternary(np.asarray(weight_slice), name="weight slice")
-    if weight_slice.ndim != 2:
-        raise CompilationError(
-            f"weight slice must be 2-D (Cout, Fh*Fw), got shape {weight_slice.shape}"
-        )
-    if min_occurrences < 2:
-        raise CompilationError(f"min_occurrences must be >= 2, got {min_occurrences}")
-    num_inputs = weight_slice.shape[1]
-    encoded: List[Dict[int, int]] = []
-    original_operations = 0
-    for row in weight_slice:
-        nonzero = np.nonzero(row)[0]
-        encoded.append({int(k): int(row[k]) for k in nonzero})
-        original_operations += max(0, len(nonzero) - 1)
+    if isinstance(rows, np.ndarray):
+        encoded, num_inputs = _encode_weight_slice(rows)
+    else:
+        encoded, num_inputs = _encode_rows(rows)
+    original_operations = sum(max(0, len(row) - 1) for row in encoded)
     engine = _FastCSE(encoded, num_inputs)
     engine.run(min_occurrences, max_temporaries)
     return _build_result(engine, original_operations, first_temp_index)

@@ -69,6 +69,18 @@ class LinearExpression:
         for term, sign in terms or ():
             self.add_term(term, sign)
 
+    @classmethod
+    def from_unique_terms(cls, terms: Dict[Term, int]) -> "LinearExpression":
+        """Wrap a ``term -> sign`` mapping that already satisfies the invariants.
+
+        The mapping (distinct terms, signs in {-1, +1}) is adopted as is,
+        without a copy or per-term checks - the CSE pass builds its rewritten
+        rows this way.
+        """
+        expression = cls.__new__(cls)
+        expression._terms = terms
+        return expression
+
     # ------------------------------------------------------------------
     def add_term(self, term: Term, sign: int) -> None:
         """Add a signed term; opposite signs cancel, equal signs are an error.

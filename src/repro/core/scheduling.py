@@ -8,9 +8,20 @@ Two decisions are made per channel DFG:
   only the minuend can be overwritten (the Table-I LUT computes ``B <- B-A``).
 * **column allocation**: values are grouped into *slots* (an in-place result
   reuses its operand's slot); slots that are live simultaneously must occupy
-  different CAM columns.  The interference graph is colored with a greedy
-  graph-coloring heuristic (the classic register-allocation formulation the
-  paper refers to).
+  different CAM columns.  This is the classic register-allocation graph
+  coloring the paper refers to, colored greedily in *largest-first* order:
+  slots are visited by descending interference degree (ties keep slot
+  order) and each takes the smallest column no overlapping, already-colored
+  slot holds.
+
+A slot's live range is one closed interval of op positions, so the
+interference graph is an *interval graph* and is never built.  A slot's
+degree is ``#(start_j <= end_i) - #(end_j < start_i) - 1``, two binary
+searches over the sorted endpoints, and each column keeps the positions its
+slots occupy as one integer bit mask, so "does this column hold an
+overlapping slot" is a single AND.  The result is exactly the coloring of
+the greedy largest-first heuristic on the explicit graph, in the same
+coloring order.
 
 The storage width of a slot is the widest value ever stored in it, and every
 operation executes over its destination slot's storage width: this keeps the
@@ -20,10 +31,9 @@ upper bits (see DESIGN.md, "Key modelling decisions").
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.dfg import ChannelDFG
 from repro.errors import CapacityError, CompilationError
@@ -97,6 +107,46 @@ def _last_uses(dfg: ChannelDFG) -> Dict[int, int]:
     return last_use
 
 
+def color_intervals(starts: Sequence[int], ends: Sequence[int]) -> Dict[int, int]:
+    """Greedy largest-first coloring of the closed intervals ``[starts[i], ends[i]]``.
+
+    Returns ``{interval index: color}`` in coloring order: intervals by
+    descending number of overlapping intervals, ties in index order; each
+    takes the smallest color no overlapping, already-colored interval holds.
+    Endpoints are integers.
+    """
+    # The intervals overlapping interval i are those starting at or before
+    # its end, less those ending before its start (and i itself).
+    sorted_starts = sorted(starts)
+    sorted_ends = sorted(ends)
+    degree = [
+        bisect_right(sorted_starts, end) - bisect_left(sorted_ends, start) - 1
+        for start, end in zip(starts, ends)
+    ]
+    # A stable sort: reverse=True keeps equal degrees in index order.
+    order = sorted(range(len(degree)), key=degree.__getitem__, reverse=True)
+    # Integer intervals overlap iff they share a point, so each color keeps
+    # the points its intervals cover as the bits of one int (point p is bit
+    # p - origin).  Clipping every end at the last start keeps every overlap.
+    origin = min(starts, default=0)
+    last = max(starts, default=0)
+    held: List[int] = []
+    coloring: Dict[int, int] = {}
+    for index in order:
+        start = starts[index] - origin
+        end = min(ends[index], last) - origin
+        span = ((2 << (end - start)) - 1) << start
+        for color, points in enumerate(held):
+            if not points & span:
+                held[color] = points | span
+                break
+        else:
+            color = len(held)
+            held.append(span)
+        coloring[index] = color
+    return coloring
+
+
 def schedule_dfg(
     dfg: ChannelDFG,
     usable_columns: Optional[int] = None,
@@ -116,66 +166,57 @@ def schedule_dfg(
     """
     last_use = _last_uses(dfg)
     schedule = Schedule(dfg=dfg)
+    nodes = dfg.nodes
+    ops = schedule.ops
 
     # ------------------------------------------------------------------
     # Slot assignment: every value starts in its own slot; an in-place result
-    # reuses the slot of the operand it overwrites.
+    # reuses the slot of the operand it overwrites.  Each slot's live range
+    # runs from its first definition to the last use of any value it holds.
     # ------------------------------------------------------------------
-    next_slot = 0
     slot_of: Dict[int, int] = {}
-
-    def new_slot(node_id: int) -> int:
-        nonlocal next_slot
-        slot_of[node_id] = next_slot
-        next_slot += 1
-        return slot_of[node_id]
+    slot_start: List[int] = []
+    slot_end: List[int] = []
 
     for node_id in dfg.input_nodes.values():
-        new_slot(node_id)
+        slot_of[node_id] = len(slot_start)
+        slot_start.append(-1)
+        slot_end.append(last_use[node_id])
 
     for position, node_id in enumerate(dfg.op_order):
-        node = dfg.nodes[node_id]
+        node = nodes[node_id]
         if node.lhs is None or node.rhs is None:
             raise CompilationError(f"op node {node_id} is missing operands")
         lhs_id, rhs_id = node.lhs[0], node.rhs[0]
-        candidates: List[int] = []
-        if prefer_inplace:
-            if node.op == "add":
-                # Prefer overwriting the left operand: accumulation chains keep
-                # their running value on the left, so this reuses the
-                # accumulator column instead of clobbering narrow temporaries.
-                candidates = [lhs_id, rhs_id]
-            else:  # sub: only the minuend (lhs) may be overwritten.
-                candidates = [lhs_id]
         overwrite: Optional[int] = None
-        for candidate in candidates:
-            if last_use.get(candidate, -1) == position:
-                overwrite = candidate
-                break
+        if prefer_inplace:
+            # Prefer overwriting the left operand: accumulation chains keep
+            # their running value on the left, so this reuses the accumulator
+            # column instead of clobbering narrow temporaries.  A subtraction
+            # may only overwrite its minuend (lhs).
+            if last_use[lhs_id] == position:
+                overwrite = lhs_id
+            elif node.op == "add" and last_use[rhs_id] == position:
+                overwrite = rhs_id
+        end = max(last_use[node_id], position)
         if overwrite is not None:
-            slot_of[node_id] = slot_of[overwrite]
-            schedule.ops.append(
-                ScheduledOp(
-                    node_id=node_id,
-                    op=node.op,
-                    inplace=True,
-                    overwrites=overwrite,
-                    lhs=lhs_id,
-                    rhs=rhs_id,
-                )
-            )
+            slot = slot_of[overwrite]
+            slot_of[node_id] = slot
+            slot_end[slot] = max(slot_end[slot], end)
         else:
-            new_slot(node_id)
-            schedule.ops.append(
-                ScheduledOp(
-                    node_id=node_id,
-                    op=node.op,
-                    inplace=False,
-                    overwrites=None,
-                    lhs=lhs_id,
-                    rhs=rhs_id,
-                )
+            slot_of[node_id] = len(slot_start)
+            slot_start.append(position)
+            slot_end.append(end)
+        ops.append(
+            ScheduledOp(
+                node_id=node_id,
+                op=node.op,
+                inplace=overwrite is not None,
+                overwrites=overwrite,
+                lhs=lhs_id,
+                rhs=rhs_id,
             )
+        )
     schedule.slot_of_node = slot_of
 
     # ------------------------------------------------------------------
@@ -183,39 +224,14 @@ def schedule_dfg(
     # ------------------------------------------------------------------
     slot_width: Dict[int, int] = {}
     for node_id, slot in slot_of.items():
-        width = dfg.nodes[node_id].width
+        width = nodes[node_id].width
         slot_width[slot] = max(slot_width.get(slot, 1), width)
     schedule.slot_width = slot_width
 
     # ------------------------------------------------------------------
-    # Live ranges per slot and graph-coloring column allocation.
+    # Column allocation: greedy largest-first coloring of the live ranges.
     # ------------------------------------------------------------------
-    definition_position: Dict[int, int] = {}
-    for node_id in dfg.input_nodes.values():
-        definition_position[node_id] = -1
-    for position, node_id in enumerate(dfg.op_order):
-        definition_position[node_id] = position
-
-    slot_live: Dict[int, Tuple[int, int]] = {}
-    for node_id, slot in slot_of.items():
-        start = definition_position[node_id]
-        end = max(last_use.get(node_id, -1), start)
-        if slot in slot_live:
-            old_start, old_end = slot_live[slot]
-            slot_live[slot] = (min(old_start, start), max(old_end, end))
-        else:
-            slot_live[slot] = (start, end)
-
-    interference = nx.Graph()
-    interference.add_nodes_from(slot_live)
-    slots = list(slot_live)
-    for i, slot_a in enumerate(slots):
-        start_a, end_a = slot_live[slot_a]
-        for slot_b in slots[i + 1 :]:
-            start_b, end_b = slot_live[slot_b]
-            if start_a <= end_b and start_b <= end_a:
-                interference.add_edge(slot_a, slot_b)
-    coloring = nx.coloring.greedy_color(interference, strategy="largest_first")
+    coloring = color_intervals(slot_start, slot_end)
     num_colors = (max(coloring.values()) + 1) if coloring else 0
     if usable_columns is not None and num_colors > usable_columns:
         raise CapacityError(

@@ -13,10 +13,10 @@ Scope and safety:
 
 * Only registry-string models are cacheable - a module tree built in user
   code has no stable identity to key on.
-* The key hashes the package version and a digest of the :mod:`repro.core`
-  compiler sources, so upgrading the package - or editing the compiler in a
-  development tree without a version bump - invalidates every prior entry
-  (no stale-program hazard).
+* The key hashes the package version and a digest of the compiler sources
+  (:data:`COMPILER_SOURCES`), so upgrading the package - or editing the
+  compiler in a development tree without a version bump - invalidates every
+  prior entry (no stale-program hazard).
 * Stores are atomic (temp file + ``os.replace``); unreadable or truncated
   entries are treated as misses and overwritten, never trusted.
 * The cache is strictly opt-in: without the environment variable this module
@@ -32,7 +32,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.telemetry.logs import get_logger
 
@@ -44,6 +44,11 @@ COMPILE_CACHE_ENV = "REPRO_COMPILE_CACHE"
 #: On-disk format version (bump when the entry layout changes).
 _FORMAT = 1
 
+#: Sources, relative to the ``repro`` package, that shape a compiled model:
+#: the compiler, the bit-width and ternary-validation helpers it calls, and
+#: the AP instruction types pickled into every entry.
+COMPILER_SOURCES = ("core", "utils/bitops.py", "utils/validation.py", "ap/isa.py")
+
 
 def cache_dir() -> Optional[Path]:
     """The configured cache directory, or ``None`` when caching is off."""
@@ -51,27 +56,33 @@ def cache_dir() -> Optional[Path]:
     return Path(value) if value else None
 
 
-def source_digest(directory: Path) -> str:
-    """SHA-256 over every ``*.py`` file below ``directory`` (names and bytes)."""
+def source_digest(root: Path, sources: Sequence[str] = (".",)) -> str:
+    """SHA-256 over the ``*.py`` files ``sources`` names below ``root``.
+
+    Each source is a file or a directory (every ``*.py`` file below it); the
+    digest covers each file's path relative to ``root`` and its bytes.
+    """
     digest = hashlib.sha256()
-    for path in sorted(directory.rglob("*.py")):
-        digest.update(path.relative_to(directory).as_posix().encode("utf-8"))
-        digest.update(b"\0")
-        digest.update(path.read_bytes())
-        digest.update(b"\0")
+    for source in sources:
+        path = root / source
+        for file in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+            digest.update(file.relative_to(root).as_posix().encode("utf-8"))
+            digest.update(b"\0")
+            digest.update(file.read_bytes())
+            digest.update(b"\0")
     return digest.hexdigest()
 
 
 @functools.lru_cache(maxsize=None)
 def compiler_digest() -> str:
-    """Digest of the :mod:`repro.core` compiler sources of this process.
+    """Digest of this process's compiler sources (:data:`COMPILER_SOURCES`).
 
     Computed once: the compiler a running process imported cannot change
     under it.
     """
-    import repro.core
+    import repro
 
-    return source_digest(Path(repro.core.__file__).parent)
+    return source_digest(Path(repro.__file__).parent, COMPILER_SOURCES)
 
 
 def cache_key(config, package_version: str) -> Optional[str]:

@@ -9,6 +9,7 @@ bit-width inference and the performance model all agree on the encoding.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,10 +39,11 @@ def bits_for_signed_range(lo: int, hi: int) -> int:
     """
     if lo > hi:
         raise ValueError(f"empty range [{lo}, {hi}]")
-    width = 1
-    while not (min_signed_value(width) <= lo and hi <= max_signed_value(width)):
-        width += 1
-    return width
+    # ``w`` bits hold [-2**(w-1), 2**(w-1) - 1]: a non-negative ``hi`` needs
+    # ``hi.bit_length()`` magnitude bits, a negative ``lo`` needs those of
+    # ``-lo - 1``, and the sign bit comes on top.
+    hi, lo = operator.index(hi), operator.index(lo)
+    return 1 + max(max(hi, 0).bit_length(), (-lo - 1).bit_length() if lo < 0 else 0)
 
 
 def min_signed_value(width: int) -> int:

@@ -44,8 +44,8 @@ def check_ternary(weights: Any, name: str = "weights") -> np.ndarray:
     Returns the array converted to ``int8``.
     """
     array = np.asarray(weights)
-    values = np.unique(array)
-    if not np.isin(values, (-1, 0, 1)).all():
+    if not ((array == 0) | (array == 1) | (array == -1)).all():
+        values = np.unique(array)
         raise QuantizationError(
             f"{name} must be ternary (values in {{-1, 0, 1}}), found values {values[:10]}"
         )

@@ -131,3 +131,88 @@ class TestCompileModel:
         assert cse.total_ops < unroll.total_ops
         reduction = 1.0 - cse.total_ops / unroll.total_ops
         assert 0.05 < reduction < 0.45
+
+
+class TestCollectorPause:
+    """``compile_model`` pauses the cyclic collector and restores its state."""
+
+    @pytest.fixture
+    def spec(self):
+        return [make_spec(cout=8, cin=2, size=4, name="conv", seed=3)]
+
+    def test_collector_is_off_while_compiling(self, spec, monkeypatch):
+        import gc
+
+        import repro.core.compiler as compiler
+
+        seen = []
+        original = compiler.compile_layer
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(compiler, "compile_layer", spy)
+        assert gc.isenabled()
+        compile_model(spec, CompilerConfig(), emit_programs=True)
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self, spec):
+        import gc
+
+        gc.disable()
+        try:
+            compile_model(spec, CompilerConfig(), emit_programs=True)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_state_restored_after_an_error(self):
+        import gc
+
+        bad = ConvLayerSpec("bad", np.zeros((4, 2, 3, 3), dtype=np.int8), 4, 4, 1, 1)
+        with pytest.raises(CompilationError):
+            compile_model(
+                [bad], CompilerConfig(min_cse_occurrences=1), emit_programs=True
+            )
+        assert gc.isenabled()
+
+    def test_frozen_objects_stay_frozen(self, spec):
+        import gc
+
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            compile_model(spec, CompilerConfig(), emit_programs=True)
+            assert gc.get_freeze_count() == frozen
+            assert gc.isenabled()
+        finally:
+            gc.unfreeze()
+
+    def test_nested_and_concurrent_pauses_restore_once(self):
+        import gc
+        import threading
+
+        from repro.core.compiler import _cyclic_gc_paused
+
+        inside = threading.Barrier(2, timeout=60)
+        states = []
+
+        def worker():
+            with _cyclic_gc_paused():
+                inside.wait()
+                inside.wait()
+                states.append(gc.isenabled())
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        with _cyclic_gc_paused():
+            with _cyclic_gc_paused():
+                inside.wait()
+            # The inner exit must not re-enable while the worker still compiles.
+            states.append(gc.isenabled())
+            inside.wait()
+        thread.join()
+        assert states == [False, False]
+        assert gc.isenabled()

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cse import (
-    CSEResult,
-    cse_from_weight_slice,
-    eliminate_common_subexpressions,
-)
+from repro.core.cse import CSEResult, eliminate_common_subexpressions
 from repro.core.expr import LinearExpression, Term
 from repro.core.folding import fold_weight_slice, unrolled_op_count
 from repro.errors import CompilationError
@@ -120,22 +116,109 @@ class TestCSEMechanics:
         assert result.fused_total_operations >= result.total_operations
 
 
+def result_shape(result):
+    """A CSEResult as plain tuples: definitions, rows (term order kept), op count."""
+    definitions = [
+        (d.temp.index, d.first[0].kind, d.first[0].index, d.first[1],
+         d.second[0].kind, d.second[0].index, d.second[1])
+        for d in result.definitions
+    ]
+    rows = [
+        [(term.kind, term.index, sign) for term, sign in row] for row in result.rows
+    ]
+    return definitions, rows, result.original_operations
+
+
+def reference_cse(weight_slice, min_occurrences=2, max_temporaries=None):
+    """Greedy pair CSE that recounts every pattern on every extraction.
+
+    Each step extracts the most frequent canonical pattern ``(a, b, sign_a *
+    sign_b)`` (``a < b``; inputs are ``0..K-1``, temporaries count up from
+    ``K``), the smallest such key among equally frequent ones.
+    """
+    num_inputs = weight_slice.shape[1]
+    rows = [{k: int(v) for k, v in enumerate(row) if v} for row in weight_slice]
+    definitions = []
+    while max_temporaries is None or len(definitions) < max_temporaries:
+        counts = {}
+        for row in rows:
+            codes = sorted(row)
+            for i, a in enumerate(codes):
+                for b in codes[i + 1 :]:
+                    key = (a, b, row[a] * row[b])
+                    counts[key] = counts.get(key, 0) + 1
+        if not counts:
+            break
+        best = min(counts, key=lambda key: (-counts[key], key))
+        if counts[best] < min_occurrences:
+            break
+        a, b, relative_sign = best
+        temp = num_inputs + len(definitions)
+        for row in rows:
+            if a in row and b in row and row[a] * row[b] == relative_sign:
+                polarity = row.pop(a)
+                del row[b]
+                row[temp] = polarity
+        definitions.append((a, b, relative_sign))
+
+    def term(code):
+        return ("input", code) if code < num_inputs else ("temp", code - num_inputs)
+
+    return (
+        [
+            (index, *term(a), 1, *term(b), relative_sign)
+            for index, (a, b, relative_sign) in enumerate(definitions)
+        ],
+        [[(*term(code), sign) for code, sign in row.items()] for row in rows],
+        sum(max(0, int(np.count_nonzero(row)) - 1) for row in weight_slice),
+    )
+
+
 class TestCSEFromWeightSlice:
     def test_equivalent_to_expression_path(self, paper_eq1_matrix):
         via_expressions = eliminate_common_subexpressions(
             fold_weight_slice(paper_eq1_matrix)
         )
-        via_slice = cse_from_weight_slice(paper_eq1_matrix)
+        via_slice = eliminate_common_subexpressions(paper_eq1_matrix)
         assert via_slice.total_operations == via_expressions.total_operations
         assert via_slice.num_definitions == via_expressions.num_definitions
+        assert result_shape(via_slice) == result_shape(via_expressions)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(min_value=1, max_value=40),
+        columns=st.integers(min_value=1, max_value=12),
+        sparsity=st.floats(min_value=0.0, max_value=0.95),
+        seed=st.integers(min_value=0, max_value=10_000),
+        max_temporaries=st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+        min_occurrences=st.integers(min_value=2, max_value=4),
+    )
+    def test_property_matches_recounting_reference(
+        self, rows, columns, sparsity, seed, max_temporaries, min_occurrences
+    ):
+        """The bucket-queue engine extracts exactly what a full recount would.
+
+        Same definitions in the same order (the tie-break is the smallest key
+        among the most frequent patterns), same rewritten rows with the same
+        term order, from the weight slice and from its folded expressions.
+        """
+        weight_slice = synthetic_ternary_weights((rows, columns), sparsity, rng=seed)
+        expected = reference_cse(weight_slice, min_occurrences, max_temporaries)
+        for source in (weight_slice, fold_weight_slice(weight_slice)):
+            result = eliminate_common_subexpressions(
+                source,
+                min_occurrences=min_occurrences,
+                max_temporaries=max_temporaries,
+            )
+            assert result_shape(result) == expected
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(CompilationError):
-            cse_from_weight_slice(np.zeros(4, dtype=np.int8))
+            eliminate_common_subexpressions(np.zeros(4, dtype=np.int8))
 
     def test_reduces_ops_on_random_slices(self):
         weight_slice = synthetic_ternary_weights((64, 9), 0.6, rng=0)
-        result = cse_from_weight_slice(weight_slice)
+        result = eliminate_common_subexpressions(weight_slice)
         assert result.total_operations <= result.original_operations
 
     @settings(max_examples=20, deadline=None)
@@ -146,7 +229,7 @@ class TestCSEFromWeightSlice:
     def test_property_rewritten_rows_equal_original_matrix(self, sparsity, seed):
         """CSE must never change the computed linear function."""
         weight_slice = synthetic_ternary_weights((12, 9), sparsity, rng=seed)
-        result = cse_from_weight_slice(weight_slice)
+        result = eliminate_common_subexpressions(weight_slice)
         definitions = {d.temp.index: d for d in result.definitions}
         for row_index, row in enumerate(result.rows):
             coefficients = expand_expression(row, definitions)
@@ -157,6 +240,6 @@ class TestCSEFromWeightSlice:
     @given(seed=st.integers(min_value=0, max_value=100))
     def test_property_cse_never_increases_ops(self, seed):
         weight_slice = synthetic_ternary_weights((32, 9), 0.7, rng=seed)
-        result = cse_from_weight_slice(weight_slice)
+        result = eliminate_common_subexpressions(weight_slice)
         assert result.total_operations <= result.original_operations
         assert result.fused_total_operations <= unrolled_op_count(weight_slice)

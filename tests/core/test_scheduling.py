@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.cse import eliminate_common_subexpressions
 from repro.core.dfg import build_channel_dfg
 from repro.core.folding import fold_weight_slice
-from repro.core.scheduling import schedule_dfg
+from repro.core.scheduling import END_OF_PROGRAM, color_intervals, schedule_dfg
 from repro.errors import CapacityError
+from repro.nn.ternary import synthetic_ternary_weights
 
 
 def build_dfg(matrix, cse=True, activation_bits=4):
@@ -120,3 +122,116 @@ class TestColumnAllocation:
         schedule = schedule_dfg(dfg)
         # 6 inputs plus a handful of temporaries/outputs at most.
         assert schedule.num_columns <= 16
+
+
+def reference_coloring(intervals):
+    """Pairwise interference graph plus stable largest-first greedy coloring.
+
+    ``intervals`` maps a key to a closed ``(start, end)`` range; the result
+    maps each key to its color in coloring order.
+    """
+    keys = list(intervals)
+    neighbours = {key: set() for key in keys}
+    for i, a in enumerate(keys):
+        for b in keys[i + 1 :]:
+            (start_a, end_a), (start_b, end_b) = intervals[a], intervals[b]
+            if start_a <= end_b and start_b <= end_a:
+                neighbours[a].add(b)
+                neighbours[b].add(a)
+    order = sorted(keys, key=lambda key: len(neighbours[key]), reverse=True)
+    colors = {}
+    for key in order:
+        taken = {colors[other] for other in neighbours[key] if other in colors}
+        color = 0
+        while color in taken:
+            color += 1
+        colors[key] = color
+    return colors
+
+
+def slot_live_ranges(dfg, schedule):
+    """Each slot's live range, from its first definition to its last use."""
+    last_use = {}
+    for position, op in enumerate(schedule.ops):
+        last_use[op.lhs] = position
+        last_use[op.rhs] = position
+    for ref in dfg.outputs.values():
+        if ref is not None:
+            last_use[ref[0]] = END_OF_PROGRAM
+    definition = {node_id: -1 for node_id in dfg.input_nodes.values()}
+    for position, node_id in enumerate(dfg.op_order):
+        definition[node_id] = position
+    ranges = {}
+    for node_id, slot in schedule.slot_of_node.items():
+        start = definition[node_id]
+        end = max(last_use.get(node_id, -1), start)
+        if slot in ranges:
+            start = min(start, ranges[slot][0])
+            end = max(end, ranges[slot][1])
+        ranges[slot] = (start, end)
+    return ranges
+
+
+def assert_no_shared_live_columns(ranges, columns):
+    for a in ranges:
+        for b in ranges:
+            if a < b and columns[a] == columns[b]:
+                (start_a, end_a), (start_b, end_b) = ranges[a], ranges[b]
+                assert not (start_a <= end_b and start_b <= end_a), (a, b)
+
+
+class TestIntervalColoring:
+    """The interval sweep reproduces pairwise largest-first greedy exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-1, max_value=40),
+                st.one_of(
+                    st.integers(min_value=0, max_value=30), st.just(END_OF_PROGRAM)
+                ),
+            ),
+            max_size=60,
+        )
+    )
+    def test_matches_reference_on_random_intervals(self, spans):
+        starts = [start for start, _ in spans]
+        ends = [
+            length if length == END_OF_PROGRAM else start + length
+            for start, length in spans
+        ]
+        coloring = color_intervals(starts, ends)
+        expected = reference_coloring(dict(enumerate(zip(starts, ends))))
+        assert list(coloring.items()) == list(expected.items())
+        assert_no_shared_live_columns(dict(enumerate(zip(starts, ends))), coloring)
+
+    def test_empty(self):
+        assert color_intervals([], []) == {}
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.integers(min_value=1, max_value=32),
+        columns=st.integers(min_value=1, max_value=12),
+        sparsity=st.floats(min_value=0.0, max_value=0.95),
+        seed=st.integers(min_value=0, max_value=10_000),
+        cse=st.booleans(),
+        prefer_inplace=st.booleans(),
+        first_column=st.integers(min_value=0, max_value=3),
+    )
+    def test_schedule_matches_reference_on_random_slices(
+        self, rows, columns, sparsity, seed, cse, prefer_inplace, first_column
+    ):
+        weight_slice = synthetic_ternary_weights((rows, columns), sparsity, rng=seed)
+        dfg = build_dfg(weight_slice, cse=cse)
+        schedule = schedule_dfg(
+            dfg, first_column=first_column, prefer_inplace=prefer_inplace
+        )
+        ranges = slot_live_ranges(dfg, schedule)
+        expected = [
+            (slot, first_column + color)
+            for slot, color in reference_coloring(ranges).items()
+        ]
+        # Values and item order: the dict order is part of the pickled model.
+        assert list(schedule.slot_column.items()) == expected
+        assert_no_shared_live_columns(ranges, schedule.slot_column)

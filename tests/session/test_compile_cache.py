@@ -55,11 +55,50 @@ class TestCacheKey:
     def test_compiler_digest_covers_repro_core(self):
         from pathlib import Path
 
-        import repro.core
-
+        root = Path(repro.__file__).parent
+        assert cache.COMPILER_SOURCES[0] == "core"
+        for source in cache.COMPILER_SOURCES:
+            assert (root / source).exists(), source
         assert cache.compiler_digest() == cache.source_digest(
-            Path(repro.core.__file__).parent
+            root, cache.COMPILER_SOURCES
         )
+        # The compiled output also depends on the width and validation
+        # helpers and on the instruction types pickled into each entry.
+        assert {"utils/bitops.py", "utils/validation.py", "ap/isa.py"} <= set(
+            cache.COMPILER_SOURCES
+        )
+
+    def test_editing_a_covered_utils_file_changes_the_key(self, tmp_path, monkeypatch):
+        import shutil
+        from pathlib import Path
+
+        root = Path(repro.__file__).parent
+        for source in cache.COMPILER_SOURCES + ("utils/rng.py",):
+            target = tmp_path / source
+            target.parent.mkdir(parents=True, exist_ok=True)
+            if (root / source).is_dir():
+                shutil.copytree(
+                    root / source, target, ignore=shutil.ignore_patterns("__pycache__")
+                )
+            else:
+                shutil.copy(root / source, target)
+        monkeypatch.setattr(
+            cache,
+            "compiler_digest",
+            lambda: cache.source_digest(tmp_path, cache.COMPILER_SOURCES),
+        )
+        config = SessionConfig(**MODEL_KWARGS)
+        assert cache.compiler_digest() == cache.source_digest(
+            root, cache.COMPILER_SOURCES
+        )
+        base = cache.cache_key(config, repro.__version__)
+        # An uncovered helper does not shape compiled programs.
+        with open(tmp_path / "utils" / "rng.py", "a") as handle:
+            handle.write("\n# edited\n")
+        assert cache.cache_key(config, repro.__version__) == base
+        with open(tmp_path / "utils" / "bitops.py", "a") as handle:
+            handle.write("\n# edited\n")
+        assert cache.cache_key(config, repro.__version__) != base
 
     def test_module_tree_models_are_not_cacheable(self):
         from repro.nn.layers import Flatten, TernaryLinear

@@ -11,7 +11,11 @@ _spec = importlib.util.spec_from_file_location("perf_ratchet", _MODULE_PATH)
 perf_ratchet = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(perf_ratchet)
 
-BASELINE = {"megakernel_speedup": 12.0, "resnet18_fullwidth_run_s": 44.0}
+BASELINE = {
+    "megakernel_speedup": 12.0,
+    "resnet18_fullwidth_run_s": 44.0,
+    "resnet18_fullwidth_setup_s": 117.5,
+}
 
 
 class TestCheckRatchets:
@@ -19,13 +23,18 @@ class TestCheckRatchets:
         assert perf_ratchet.check_ratchets(BASELINE, dict(BASELINE)) == []
 
     def test_improvements_pass(self):
-        current = {"megakernel_speedup": 30.0, "resnet18_fullwidth_run_s": 10.0}
+        current = {
+            "megakernel_speedup": 30.0,
+            "resnet18_fullwidth_run_s": 10.0,
+            "resnet18_fullwidth_setup_s": 40.0,
+        }
         assert perf_ratchet.check_ratchets(BASELINE, current) == []
 
     def test_within_tolerance_passes(self):
         current = {
             "megakernel_speedup": 12.0 * 0.81,
             "resnet18_fullwidth_run_s": 44.0 * 1.19,
+            "resnet18_fullwidth_setup_s": 117.5 * 1.19,
         }
         assert perf_ratchet.check_ratchets(BASELINE, current) == []
 
@@ -41,11 +50,22 @@ class TestCheckRatchets:
         assert len(failures) == 1
         assert "resnet18_fullwidth_run_s" in failures[0]
 
+    def test_setup_regression_fails(self):
+        current = dict(BASELINE, resnet18_fullwidth_setup_s=117.5 * 1.21)
+        failures = perf_ratchet.check_ratchets(BASELINE, current)
+        assert len(failures) == 1
+        assert "resnet18_fullwidth_setup_s" in failures[0]
+
+    def test_setup_is_ratcheted_lower_is_better(self):
+        assert perf_ratchet.Ratchet(
+            "resnet18_fullwidth_setup_s", "lower"
+        ) in perf_ratchet.RATCHETS
+
     def test_missing_metrics_fail(self):
         failures = perf_ratchet.check_ratchets(BASELINE, {})
-        assert len(failures) == 2
+        assert len(failures) == len(perf_ratchet.RATCHETS) == 3
         failures = perf_ratchet.check_ratchets({}, BASELINE)
-        assert len(failures) == 2
+        assert len(failures) == len(perf_ratchet.RATCHETS)
 
 
 class TestMain:

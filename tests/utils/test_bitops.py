@@ -44,6 +44,47 @@ class TestWidths:
             bitops.min_signed_value(0)
 
 
+def loop_bits_for_signed_range(lo, hi):
+    """The defining search: the first width whose range holds ``[lo, hi]``."""
+    width = 1
+    while not (
+        bitops.min_signed_value(width) <= lo and hi <= bitops.max_signed_value(width)
+    ):
+        width += 1
+    return width
+
+
+class TestSignedRangeClosedForm:
+    """``bits_for_signed_range`` is a closed form of the width-by-width search."""
+
+    def test_exhaustive_small_ranges(self):
+        for lo in range(-130, 131):
+            for hi in range(lo, 131):
+                expected = loop_bits_for_signed_range(lo, hi)
+                assert bitops.bits_for_signed_range(lo, hi) == expected, (lo, hi)
+
+    @given(st.integers(-(2**200), 2**200), st.integers(0, 2**200))
+    def test_large_ranges(self, lo, span):
+        hi = lo + span
+        expected = loop_bits_for_signed_range(lo, hi)
+        assert bitops.bits_for_signed_range(lo, hi) == expected
+
+    @given(st.integers(1, 300))
+    def test_width_boundaries(self, width):
+        lo, hi = bitops.min_signed_value(width), bitops.max_signed_value(width)
+        assert bitops.bits_for_signed_range(lo, hi) == width
+        assert bitops.bits_for_signed_range(lo - 1, hi) == width + 1
+        assert bitops.bits_for_signed_range(lo, hi + 1) == width + 1
+
+    @given(st.integers(-(2**70), 2**70), st.integers(1, 2**70))
+    def test_empty_range_raises(self, hi, gap):
+        with pytest.raises(ValueError):
+            bitops.bits_for_signed_range(hi + gap, hi)
+
+    def test_numpy_integers(self):
+        assert bitops.bits_for_signed_range(np.int64(-9), np.int32(0)) == 5
+
+
 class TestTwosComplement:
     def test_roundtrip_small_values(self):
         for width in (1, 2, 4, 8, 12):
