@@ -11,8 +11,17 @@ shared instruction stream once for the whole wave - the mega-kernel.
 
 The wave state mirrors the hardware's word-parallel, bit-serial layout: each
 column of each row is one RTM nanowire of up to 64 domains, held as one
-``uint64`` word (bit ``d`` is domain ``d``).  A technology with more than 64
-domains per nanowire declines the wave.
+unsigned word (bit ``d`` is domain ``d``).  A technology with more than 64
+domains per nanowire declines the wave.  The word is fitted to the tile:
+its schedule records the deepest domain any load, source, destination or
+output reaches and picks the narrowest of ``uint8/16/32/64`` that keeps a
+spare bit above it, so a sign-extended read - negated or not - and every
+``b +/- a`` stays exact in the word's signed view (``uint64`` needs no spare
+bit: no region is wider than 60 bits).  Every width runs the same code; a
+tile whose regions all end below domain 8 runs on ``uint8`` words and
+moves an eighth of the bytes of ``uint64`` ones.  Popcounts take the
+unsigned view (on a signed word ``np.bitwise_count`` counts ``|x|``), and
+fire words are stored zero-extended.
 
 Program lockstep.  A tile's slice programs are independent adder trees, one
 per output-channel slice, that the AP runs back to back.  Lowering tracks,
@@ -35,7 +44,8 @@ later block needs it.  The block width follows from the tile's static shape
 (:data:`_BLOCK_WORDS` words of block state per instance), so each tile's
 schedule is built once, at deploy, by :func:`wave_staging_plan`.  Instances
 run in chunks under one byte budget (:data:`_WAVE_CHUNK_BYTES`) covering the
-block state, the gathered operand loads and the minterm temporaries.
+block state, the gathered operand loads and the minterm temporaries, priced
+at the schedule's word size.
 
 Equivalence contract (same as every backend, see :mod:`repro.ap.backends.base`):
 
@@ -53,8 +63,8 @@ Equivalence contract (same as every backend, see :mod:`repro.ap.backends.base`):
   So one minterm word per pass, ``(carry ^ kc) & (b ^ kb) & (a ^ ka)``, marks
   the bits whose rows that pass writes.  Per instruction the kernel records
   only the OR over rows of each pass word (the *fire words*) and the number
-  of matched bits (``np.bitwise_count``), in the instruction's slot of the
-  program sequence.  After each chunk, one replay derives ``write_phases``
+  of matched bits (``np.bitwise_count`` of the OR of the pass words, which
+  are disjoint), in the instruction's slot of the program sequence.  After each chunk, one replay derives ``write_phases``
   and ``written_bits`` from those records, and replays the alignment events
   of the whole program sequence for ``lockstep_shift_steps``
   (``track_shifts`` is always ``lockstep x rows``).  Source, carry, copy and
@@ -112,8 +122,11 @@ from repro.utils.bitops import max_signed_value, min_signed_value
 
 logger = get_logger(__name__)
 
-#: Bits of one nanowire word; technologies with more domains decline.
+#: Bits of the widest nanowire word; technologies with more domains decline.
 _WORD_BITS = 64
+
+#: Candidate word dtypes, narrowest first (see :func:`_word_dtype`).
+_WORD_DTYPES = tuple(map(np.dtype, (np.uint8, np.uint16, np.uint32, np.uint64)))
 
 #: Words of lockstep block state per instance: a ``rows x columns`` tile runs
 #: ``_BLOCK_WORDS // (rows * columns)`` programs side by side (at least one).
@@ -717,6 +730,21 @@ def _block_width(programs: int, rows: int, columns: int) -> int:
     return max(1, min(programs, _BLOCK_WORDS // (rows * columns)))
 
 
+def _word_dtype(deepest: int) -> np.dtype:
+    """The narrowest word dtype with a spare bit above domains ``0 ..
+    deepest - 1``.
+
+    The spare bit keeps every sign-extended region read, its negation and
+    ``b +/- a`` exact in the word's signed view.  ``uint64`` takes the rest:
+    regions are at most :data:`_MAX_VECTOR_WIDTH` bits wide, so a region
+    ending at its top bit still cannot overflow when negated.
+    """
+    for dtype in _WORD_DTYPES:
+        if deepest < 8 * dtype.itemsize:
+            return dtype
+    return _WORD_DTYPES[-1]
+
+
 def _schedule(
     compiled: Sequence[_CompiledWaveProgram], rows: int, columns: int
 ) -> "_Schedule":
@@ -822,23 +850,26 @@ class _Schedule:
     int32/uint8 arrays with one entry per lowered record, in group order
     across all blocks (sources have two entries per record, see below).
     ``idx`` fields are flat word indices ``slice * columns + column`` into a
-    block's state; shifts (shaped ``(n, 1, 1)``) and widths are bytes.  Per
-    block and run, the kernel widens its span once - indices to ``intp``,
-    shifts to word dtypes, widths to masks and keep words - so no group
-    operation casts and a group slice broadcasts over ``(instances,
-    rows)``.  ``groups`` is one ``(kind, first, stop, narrow)`` int32 row per
-    group, its span relative to the block's first record.  Loads and
-    outputs are laid out the same way, in program order.  :meth:`chunk`
-    prices one instance against :data:`_WAVE_CHUNK_BYTES`.
+    block's state; shifts (shaped ``(n, 1, 1)``) and widths are bytes.
+    ``word`` is the state's unsigned dtype, fitted to the deepest domain
+    the sequence touches (:func:`_word_dtype`), and ``signed`` its signed
+    view; shifts are relative to its bit count.  Per block and run, the
+    kernel widens its span once - indices to ``intp``, shifts to the word
+    dtypes, widths to masks and keep words - so no group operation casts and
+    a group slice broadcasts over ``(instances, rows)``.  ``groups`` is one
+    ``(kind, first, stop, narrow)`` int32 row per group, its span relative
+    to the block's first record.  Loads and outputs are laid out the same
+    way, in program order.  :meth:`chunk` prices one instance against
+    :data:`_WAVE_CHUNK_BYTES`.
     """
 
     __slots__ = (
-        "columns", "blocks", "groups",
+        "columns", "word", "signed", "blocks", "groups",
         "lut", "src_idx", "src_left", "src_right", "width", "slot",
         "t_idx", "t_width", "t_shift", "t_narrow",
         "l_idx", "l_width", "l_offset",
         "r_idx", "r_left", "r_right", "r_sign",
-        "outputs", "row_words", "defined",
+        "outputs", "row_bytes", "defined",
     )
 
     def __init__(
@@ -920,8 +951,24 @@ class _Schedule:
         outputs[:, 0] += np.repeat(bases, output_counts)
         output_firsts = np.concatenate(([0], np.cumsum(output_counts)))
 
+        # The deepest domain any region reaches (a narrow extra destination
+        # is blended over the instruction width) sizes the word.
+        deepest = max(
+            int(np.max(ends, initial=0))
+            for ends in (
+                table[:, _A_OFF] + table[:, _A_WIDTH],
+                table[:, _B_OFF] + table[:, _B_WIDTH],
+                table[:, _D_OFF] + np.maximum(table[:, _WIDTH], table[:, _D_WIDTH]),
+                loads[:, 1] + loads[:, 2],
+                outputs[:, 1] + outputs[:, 2],
+            )
+        )
+        unsigned = self.word = _word_dtype(deepest)
+        self.signed = np.dtype(f"i{unsigned.itemsize}")
+        bits = 8 * unsigned.itemsize
+
         self.blocks: List[_Block] = []
-        row_words = 0
+        row_bytes = 0
         for index, (start, stop) in enumerate(zip(starts, stops)):
             load_span = (int(load_firsts[start]), int(load_firsts[stop]))
             output_span = (int(output_firsts[start]), int(output_firsts[stop]))
@@ -929,7 +976,10 @@ class _Schedule:
             # Loads into one word land in order: the r-th load of a word goes
             # to scatter round r (one round unless a column holds several).
             rounds = None
-            if len(np.unique(words)) < len(words):
+            # (Sorted rather than ``np.unique``, whose first call in a
+            # process imports ``numpy.ma``.)
+            ordered = np.sort(words)
+            if (ordered[1:] == ordered[:-1]).any():
                 seen: Dict[int, int] = {}
                 occurrence = np.zeros(len(words), dtype=np.intp)
                 for position, word in enumerate(words.tolist()):
@@ -952,27 +1002,36 @@ class _Schedule:
                     output_span,
                 )
             )
-            # Per instance row: block state, gathered loads, group
-            # temporaries (sources, carries, result, literals, minterms and
-            # target words of up to ``stop - start`` records) and the
-            # block's readout.
-            row_words = max(
-                row_words,
-                (stop - start) * (columns + 28)
-                + load_span[1] - load_span[0]
-                + output_span[1] - output_span[0],
+            # Per instance row: block state, loads (stacked as int64, then
+            # as words), group temporaries (sources, carries, result,
+            # literals, minterms and target words of up to ``stop - start``
+            # records) and the block's readout.
+            block_loads = load_span[1] - load_span[0]
+            row_bytes = max(
+                row_bytes,
+                unsigned.itemsize
+                * (
+                    (stop - start) * (columns + 28)
+                    + block_loads
+                    + output_span[1] - output_span[0]
+                )
+                + 8 * block_loads,
             )
         #: Per-program defined-domain masks, kept only where the kernel
         #: composes the true AP state.
         self.defined = (
-            [np.frombuffer(lowered.defined, dtype=np.uint64) for lowered in compiled]
+            [
+                np.frombuffer(lowered.defined, dtype=np.uint64).astype(unsigned)
+                for lowered in compiled
+            ]
             if last_seed
             else None
         )
         if last_seed:
-            row_words += columns  # the composed true state
+            row_bytes += unsigned.itemsize * columns  # the composed true state
         self.outputs = len(outputs)
-        self.row_words = row_words + len(outputs)
+        # Plus the chunk's int64 output matrix.
+        self.row_bytes = row_bytes + 8 * len(outputs)
 
         shape = (-1, 1, 1)
         self.lut = table[:, _LUT].astype(np.uint8)
@@ -987,18 +1046,18 @@ class _Schedule:
             [table[:, (_B_COL, _B_OFF, _B_WIDTH)], table[:, (_A_COL, _A_OFF, _A_WIDTH)]]
         )
         self.src_idx = sources[:, 0].astype(np.int32)
-        self.src_left = (_WORD_BITS - sources[:, 1] - sources[:, 2]).astype(
+        self.src_left = (bits - sources[:, 1] - sources[:, 2]).astype(
             np.uint8
         ).reshape(shape)
-        self.src_right = (_WORD_BITS - sources[:, 2]).astype(np.uint8).reshape(shape)
+        self.src_right = (bits - sources[:, 2]).astype(np.uint8).reshape(shape)
         self.width = table[:, _WIDTH].astype(np.uint8)
         self.slot = table[:, _SLOT].astype(np.int32)
         self.t_idx = table[:, _D_COL].astype(np.int32)
         self.t_width = table[:, _D_WIDTH].astype(np.uint8)
         self.t_shift = table[:, _D_OFF].astype(np.uint8).reshape(shape)
         self.t_narrow = (
-            np.where(table[:, _NARROW] != 0, ~np.uint64(0), np.uint64(0))
-            .astype(np.uint64)
+            np.where(table[:, _NARROW] != 0, np.iinfo(unsigned).max, 0)
+            .astype(unsigned)
             .reshape(shape)
             if table[:, _NARROW].any()
             else None
@@ -1008,10 +1067,10 @@ class _Schedule:
         self.l_offset = loads[:, 1].astype(np.uint8).reshape(shape)
         self.l_width = loads[:, 2].astype(np.uint8)
         self.r_idx = outputs[:, 0].astype(np.int32)
-        self.r_left = (_WORD_BITS - outputs[:, 1] - outputs[:, 2]).astype(
+        self.r_left = (bits - outputs[:, 1] - outputs[:, 2]).astype(
             np.uint8
         ).reshape(shape)
-        self.r_right = (_WORD_BITS - outputs[:, 2]).astype(np.uint8).reshape(shape)
+        self.r_right = (bits - outputs[:, 2]).astype(np.uint8).reshape(shape)
         self.r_sign = (
             np.where(outputs[:, 3] != 0, -1, 1).astype(np.int8).reshape(shape)
             if outputs[:, 3].any()
@@ -1020,11 +1079,11 @@ class _Schedule:
 
     def chunk(self, rows: int, total: int, plan: _ReplayPlan) -> int:
         """Instances per chunk under :data:`_WAVE_CHUNK_BYTES` (block state
-        and temporaries per row, plus the chunk's fire records)."""
-        instance_bytes = 8 * (
-            rows * self.row_words
-            + plan.slots * (_MAX_PASSES + 1)
-            + 6 * len(plan.events)
+        and temporaries per row at the word size, plus the chunk's int64
+        output sums, fire records and replay temporaries - about 11 int64
+        words per alignment event at the replay's peak)."""
+        instance_bytes = rows * self.row_bytes + 8 * (
+            self.outputs + plan.slots * (_MAX_PASSES + 1) + 11 * len(plan.events)
         )
         return max(1, min(total, _WAVE_CHUNK_BYTES // instance_bytes))
 
@@ -1230,7 +1289,7 @@ def _block_operands(
             operands = None
         if operands is not None:
             dtypes = {batch.dtype for batch in operands}
-            if set(map(np.shape, operands)) - {expected} or any(
+            if any(batch.shape != expected for batch in operands) or any(
                 dtype.kind not in "iu" for dtype in dtypes
             ):
                 operands = None
@@ -1363,9 +1422,11 @@ def _load_block(
         or (values.max(axis=(1, 2)) > _SIGNED_MAX[widths]).any()
     ):
         return False
-    low = _LOW[widths].reshape(-1, 1, 1)
-    offsets = schedule.l_offset[first:last].astype(np.uint64)
-    bits = values.view(np.uint64)
+    unsigned = schedule.word
+    # Range-checked values wrap into the word as their two's complement.
+    bits = values.astype(unsigned)
+    low = _LOW[widths].astype(unsigned).reshape(-1, 1, 1)
+    offsets = schedule.l_offset[first:last].astype(unsigned)
     bits &= low
     bits <<= offsets
     keep = ~(low << offsets)
@@ -1397,30 +1458,35 @@ def _run_groups(
     """
     bitwise_or_reduce = np.bitwise_or.reduce
     s = schedule
+    unsigned, signed = s.word, s.signed
     first, last = block.groups
     records = slice(*block.records)
     sources = slice(2 * block.records[0], 2 * block.records[1])
-    # Widen the block's compact fields once (indices to intp, shifts to the
-    # word dtypes, so no group operation casts) and slice every per-record
-    # field to the block, so group spans index them directly.
+    # Widen the block's compact fields once (indices to intp, shifts and
+    # masks to the word dtypes, so no group operation casts) and slice every
+    # per-record field to the block, so group spans index them directly.
     src_idx = s.src_idx[sources].astype(np.intp)
-    src_left = s.src_left[sources].astype(np.uint64)
-    src_right = s.src_right[sources].astype(np.int64)
+    src_left = s.src_left[sources].astype(unsigned)
+    src_right = s.src_right[sources].astype(signed)
     t_idx = s.t_idx[records].astype(np.intp)
     slot = s.slot[records].astype(np.intp)
-    shifts = s.t_shift[records].astype(np.uint64)
-    masks = _LOW[s.width[records]].view(np.int64).reshape(-1, 1, 1)
+    shifts = s.t_shift[records].astype(unsigned)
+    masks = _LOW[s.width[records]].astype(signed).reshape(-1, 1, 1)
     # Each destination word keeps every domain outside its cleared region.
-    keeps = ~(_LOW[s.t_width[records]].reshape(-1, 1, 1) << shifts)
+    keeps = ~(_LOW[s.t_width[records]].astype(unsigned).reshape(-1, 1, 1) << shifts)
     narrows = s.t_narrow[records] if s.t_narrow is not None else None
     # Per record: its LUT's pass flips, its width mask on the LUT's real
     # passes (empty on padded ones) and its add/sub sign.
     lut = s.lut[records]
-    flip_c, flip_b, flip_a = _FLIPS[:, :, lut].reshape(3, _MAX_PASSES, -1, 1, 1)
-    pass_masks = np.where(_PASSES[:, lut], masks.reshape(-1), 0).reshape(
-        _MAX_PASSES, -1, 1, 1
+    flip_c, flip_b, flip_a = (
+        _FLIPS[:, :, lut].astype(signed).reshape(3, _MAX_PASSES, -1, 1, 1)
     )
-    signs = _SIGNS[lut].reshape(-1, 1, 1)
+    pass_masks = (
+        np.where(_PASSES[:, lut], masks.reshape(-1), 0)
+        .astype(signed)
+        .reshape(_MAX_PASSES, -1, 1, 1)
+    )
+    signs = _SIGNS[lut].astype(signed).reshape(-1, 1, 1)
     for kind, lo, hi, narrow in s.groups[first:last].tolist():
         targets = t_idx[lo:hi]
         if kind == _CLEAR:
@@ -1434,17 +1500,18 @@ def _run_groups(
             span = slice(2 * lo, lo + hi)
             value = state[src_idx[span]]
             value <<= src_left[span]
-            value = value.view(np.int64)
+            value = value.view(signed)
             value >>= src_right[span]
-            fires[0, slots] = bitwise_or_reduce(value, axis=2)
-            fires[1, slots] = np.bitwise_and.reduce(value, axis=2)
+            # Fire words are stored zero-extended.
+            fires[0, slots] = bitwise_or_reduce(value, axis=2).view(unsigned)
+            fires[1, slots] = np.bitwise_and.reduce(value, axis=2).view(unsigned)
             value &= mask
-            bits = value.view(np.uint64)
+            bits = value.view(unsigned)
         else:
             span = slice(2 * lo, 2 * hi)
             words = state[src_idx[span]]
             words <<= src_left[span]
-            values = words.view(np.int64)
+            values = words.view(signed)
             values >>= src_right[span]
             b = values[: hi - lo]
             a = values[hi - lo :]
@@ -1458,17 +1525,20 @@ def _run_groups(
             minterms &= b ^ flip_b[:, lo:hi]
             minterms &= a ^ flip_a[:, lo:hi]
             minterms &= pass_masks[:, lo:hi]
+            minterms = minterms.view(unsigned)
             fires[:, slots] = bitwise_or_reduce(minterms, axis=3)
+            # Each state fires at most one pass, so the passes' minterms are
+            # disjoint: their OR holds every matched bit once.
+            fired = bitwise_or_reduce(minterms, axis=0)
             counts[slots] = np.add.reduce(
-                np.bitwise_count(minterms), axis=(0, 3), dtype=np.int64
+                np.bitwise_count(fired), axis=2, dtype=np.int64
             )
             result &= mask
-            bits = result.view(np.uint64)
+            bits = result.view(unsigned)
         word = state[targets]
         if narrow:
             # Above a narrow extra destination's own width, rows whose state
             # fires no pass keep their bits: clear only the fired ones.
-            fired = bitwise_or_reduce(minterms, axis=0).view(np.uint64)
             fired <<= shifts[lo:hi]
             fired &= narrows[lo:hi]
             word &= ~fired
@@ -1485,12 +1555,14 @@ def _read_block(
     first, last = block.outputs
     if first == last:
         return
+    signed = schedule.signed
     words = state[schedule.r_idx[first:last].astype(np.intp)]
-    words <<= schedule.r_left[first:last].astype(np.uint64)
-    values = words.view(np.int64)
-    values >>= schedule.r_right[first:last].astype(np.int64)
+    words <<= schedule.r_left[first:last].astype(schedule.word)
+    values = words.view(signed)
+    values >>= schedule.r_right[first:last].astype(signed)
     if schedule.r_sign is not None:
-        values *= schedule.r_sign[first:last].astype(np.int64)
+        values *= schedule.r_sign[first:last].astype(signed)
+    # Sign-extends each word's signed value into the int64 matrix.
     stacked[:, first:last] = values.transpose(1, 0, 2)
 
 
@@ -1530,7 +1602,8 @@ def _execute_wave_chunk(
     truth: Optional[np.ndarray] = None
     for block, block_operands in zip(schedule.blocks, operands):
         state = np.zeros(
-            ((block.stop - block.start) * columns, instances, rows), dtype=np.uint64
+            ((block.stop - block.start) * columns, instances, rows),
+            dtype=schedule.word,
         )
         if block.seeded and truth is not None:
             state[:columns] = truth
@@ -1556,8 +1629,10 @@ def _execute_wave_chunk(
     loaded_bits = plan.loaded_per_row * rows
     # int64 addition is associative modulo 2**64, so the batched row sums
     # equal each instance's own ``values.sum()`` bit for bit; the checksum
-    # folds them as Python ints, exactly like a per-instance run.
-    totals = stacked.sum(axis=2).tolist()
+    # folds them as Python ints, exactly like a per-instance run (one
+    # instance at a time: a list of every instance's sums would hold a
+    # Python int per output and instance, outside the chunk's budget).
+    totals = stacked.sum(axis=2)
     return [
         (
             CAMStats(
@@ -1570,7 +1645,7 @@ def _execute_wave_chunk(
                 read_bits=read_bits,
                 loaded_bits=loaded_bits,
             ),
-            sum(totals[instance]),
+            sum(totals[instance].tolist()),
             stacked[instance],
         )
         for instance, (phases, bits, steps) in enumerate(

@@ -16,7 +16,7 @@ vectors from here and the bit-plane host lowering
   product plus a sign correction).
 
 The batched backend's wave engine needs none of them: it keeps every
-nanowire as one packed ``uint64`` word (see :mod:`repro.ap.backends.batched`).
+nanowire as one packed unsigned word (see :mod:`repro.ap.backends.batched`).
 """
 
 from __future__ import annotations

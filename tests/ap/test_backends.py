@@ -819,6 +819,237 @@ class TestLockstepWaves:
         )
 
 
+#: Deepest domains either side of each word boundary, and the word each
+#: must run in: the narrowest with a spare bit above the deepest domain,
+#: ``uint64`` up to the 60-bit operand limit.
+WORD_CASES = [
+    (7, np.uint8),
+    (8, np.uint16),
+    (15, np.uint16),
+    (16, np.uint32),
+    (31, np.uint32),
+    (32, np.uint64),
+    (60, np.uint64),
+]
+
+
+def deep_program(rng, columns, deepest, name, stale):
+    """A random program whose regions reach exactly domain ``deepest``.
+
+    Columns 1 and 2 hold full-width (``deepest``-bit) regions.  The first
+    is loaded and also read back negated, so the most negative load becomes
+    a value one bit wider than its region.  The second receives a
+    ``deepest``-bit add or sub whose minterms therefore reach the deepest
+    domain, blended into a narrow extra destination on column 3.  The other
+    columns hold narrower regions placed anywhere below ``deepest``.  Random
+    adds, subs, copies and clears follow; a narrow extra destination is only
+    placed where its blend over the instruction width stays below
+    ``deepest``.  A ``stale`` program also reads regions it never defined
+    (so it starts a seeded block); otherwise it reads only regions it
+    defined itself.
+    """
+    full = ColumnRegion(column=1, width=deepest)
+    top = ColumnRegion(column=2, width=deepest)
+    narrow = ColumnRegion(column=3, width=int(rng.integers(1, deepest)))
+    regions = [full, top, narrow]
+    for column in range(4, columns):
+        width = int(rng.integers(2, min(deepest, 24) + 1))
+        offset = int(rng.integers(0, deepest - width + 1))
+        regions.append(ColumnRegion(column=column, width=width, domain_offset=offset))
+    program = APProgram(name=name, carry_column=0)
+    picks = rng.permutation(range(3, columns - 1))[:2]
+    loaded = [full] + [regions[index] for index in picks]
+    program.input_columns = {f"x{index}": region for index, region in enumerate(loaded)}
+    defined = {}
+
+    def define(region):
+        defined[region.column] = defined.get(region.column, 0) | _domains(region)
+
+    def readable():
+        return [
+            region
+            for region in regions
+            if stale
+            or defined.get(region.column, 0) & _domains(region) == _domains(region)
+        ]
+
+    for region in loaded:
+        define(region)
+    if rng.random() < 0.7:
+        # Define column 3 in full first: the blend above the narrow extra
+        # destination then leaves the program clean, and clean programs
+        # share the blocks the kernel composes.
+        clear = ColumnRegion(column=3, width=deepest)
+        program.append(APInstruction(opcode=APOpcode.CLEAR, dest=clear))
+    source = [region for region in readable() if region.column > 3][0]
+    program.append(
+        APInstruction(
+            opcode=rng.choice([APOpcode.ADD_OUTOFPLACE, APOpcode.SUB_OUTOFPLACE]),
+            dest=top,
+            src_a=source,
+            src_b=full,
+            extra_dests=(narrow,),
+        )
+    )
+    define(top)
+    define(narrow)
+    for _ in range(int(rng.integers(2, 9))):
+        sources = readable()
+        kind = rng.choice(["add", "sub", "copy", "clear"], p=[0.35, 0.35, 0.15, 0.15])
+        if kind in ("add", "sub"):
+            src_a = sources[int(rng.integers(len(sources)))]
+            others = [region for region in sources if region.column != src_a.column]
+            src_b = others[int(rng.integers(len(others)))]
+            if rng.random() < 0.4:
+                opcode = APOpcode.ADD_INPLACE if kind == "add" else APOpcode.SUB_INPLACE
+                dest = src_a if kind == "add" and rng.random() < 0.5 else src_b
+                instruction = APInstruction(
+                    opcode=opcode, dest=dest, src_a=src_a, src_b=src_b
+                )
+                written = (dest,)
+            else:
+                used = (src_a.column, src_b.column)
+                free = [region for region in regions if region.column not in used]
+                picks = rng.permutation(len(free))[:2]
+                dest = free[picks[0]]
+                extras = tuple(
+                    free[pick]
+                    for pick in picks[1:]
+                    if free[pick].domain_offset + dest.width <= deepest
+                    and rng.random() < 0.5
+                )
+                opcode = (
+                    APOpcode.ADD_OUTOFPLACE
+                    if kind == "add"
+                    else APOpcode.SUB_OUTOFPLACE
+                )
+                instruction = APInstruction(
+                    opcode=opcode,
+                    dest=dest,
+                    src_a=src_a,
+                    src_b=src_b,
+                    extra_dests=extras,
+                )
+                written = (dest,) + extras
+        elif kind == "copy":
+            src = sources[int(rng.integers(len(sources)))]
+            free = [region for region in regions if region.column != src.column]
+            dest = free[int(rng.integers(len(free)))]
+            instruction = APInstruction(opcode=APOpcode.COPY, dest=dest, src_a=src)
+            written = (dest,)
+        else:
+            dest = regions[int(rng.integers(len(regions)))]
+            instruction = APInstruction(opcode=APOpcode.CLEAR, dest=dest)
+            written = (dest,)
+        program.append(instruction)
+        for region in written:
+            define(region)
+    outputs = readable()
+    picks = rng.permutation(len(outputs))[: int(rng.integers(1, 4))]
+    outputs = [outputs[pick] for pick in picks]
+    undefined = [
+        region
+        for region in regions
+        if defined.get(region.column, 0) & _domains(region) != _domains(region)
+    ]
+    if stale and undefined:
+        outputs.append(undefined[int(rng.integers(len(undefined)))])
+    program.output_columns = {
+        "n": full,
+        **{f"y{index}": region for index, region in enumerate(outputs)},
+    }
+    program.output_negated = {
+        "n": True,
+        **{f"y{index}": bool(rng.random() < 0.3) for index in range(len(outputs))},
+    }
+    return program
+
+
+class TestWordWidths:
+    """Generated tiles on every word dtype against the ``reference``
+    interpreter.
+
+    Each tile reaches exactly the case's deepest domain (either side of the
+    8-, 16- and 32-bit word boundaries, and up to the 60-bit operand limit),
+    so its schedule must pick the case's word.  Every tile has a
+    full-width add or sub (its minterms reach the deepest domain), a
+    negated full-width output loaded with the most negative value, narrow
+    extra destinations, and - mixed over the seeds - stale readers that
+    start seeded blocks after blocks whose true state the kernel composes.
+    """
+
+    @pytest.mark.parametrize(
+        "deepest, word", WORD_CASES, ids=[str(deepest) for deepest, _ in WORD_CASES]
+    )
+    def test_generated_tiles_match_reference(self, deepest, word):
+        seeded = composed = 0
+        for seed in range(8):
+            rng = np.random.default_rng(12000 + 100 * deepest + seed)
+            columns = int(rng.integers(6, 10))
+            count = int(rng.integers(2, 7))
+            programs = [
+                deep_program(
+                    rng,
+                    columns,
+                    deepest,
+                    f"d{index}",
+                    stale=index == count - 1 or bool(rng.random() < 0.2),
+                )
+                for index in range(count)
+            ]
+            rows = int(rng.integers(2, 7))
+            inputs = [
+                [signed_inputs(program, rows, 1, rng)[0][0] for program in programs]
+                for _ in range(int(rng.integers(1, 4)))
+            ]
+            wave_inputs = stage_values(programs, inputs, rows) if seed % 2 else inputs
+            wave = execute_program_wave(programs, wave_inputs, rows, columns)
+            assert wave is not None, f"seed {seed} declined"
+            assert_wave_matches_baseline(
+                wave,
+                per_instance_wave_baseline(
+                    programs, inputs, rows, columns, "reference"
+                ),
+                programs,
+                columns,
+            )
+            schedule = batched_module._schedule(
+                lowered(programs, columns), rows, columns
+            )
+            assert schedule.word == np.dtype(word)
+            seeded += any(block.seeded and block.start for block in schedule.blocks)
+            composed += any(
+                block.tracks and block.stop - block.start > 1
+                for block in schedule.blocks
+            )
+        assert seeded and composed, (seeded, composed)
+
+    @pytest.mark.parametrize("deepest, word", [(7, np.uint8), (8, np.uint16)])
+    def test_narrow_extra_destination_counts_at_instruction_width(
+        self, rng, deepest, word
+    ):
+        """A narrow extra destination is blended over the instruction width,
+        so that width, not its own, sets how deep the tile reaches."""
+        a = ColumnRegion(column=1, width=4)
+        b = ColumnRegion(column=2, width=4)
+        dest = ColumnRegion(column=3, width=4)
+        extra = ColumnRegion(column=4, width=2, domain_offset=deepest - 4)
+        program = region_program(
+            APOpcode.ADD_OUTOFPLACE, a, b, dest, extra_dests=(extra,)
+        )
+        inputs = signed_inputs(program, rows=6, instances=2, rng=rng)
+        wave = execute_program_wave([program], inputs, 6, 5)
+        assert wave is not None
+        assert_wave_matches_baseline(
+            wave,
+            per_instance_wave_baseline([program], inputs, 6, 5, "reference"),
+            [program],
+            5,
+        )
+        schedule = batched_module._schedule(lowered([program], 5), 6, 5)
+        assert schedule.word == np.dtype(word)
+
+
 class TestWaveExecution:
     """Layer-wave contract: byte-identity to per-instance runs, or decline.
 

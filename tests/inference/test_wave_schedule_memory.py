@@ -7,18 +7,31 @@ and show up in the serving process's peak RSS; this gate holds the schedule
 of every tile of ResNet-18 (base width 8) to 64 B per lowered instruction,
 measured with ``tracemalloc``.  The per-program lowering is built first and
 not counted.
+
+A wave runs in chunks of instances priced against ``_WAVE_CHUNK_BYTES`` at
+the schedule's word size.  The second gate runs one chunk of a wave on
+every tile of VGG-9 (width 1/16, all ``uint8`` words) and holds its
+``tracemalloc`` peak to the budget plus a stated slack.
 """
 
 import gc
 import tracemalloc
 
+import numpy as np
+
 from repro.ap.backends import batched
 from repro.nn.models.resnet import build_resnet18
+from repro.nn.models.vgg import build_vgg9
 from repro.rtm.timing import DEFAULT_RTM_TECHNOLOGY
 from repro.session import Session
+from repro.utils.bitops import max_signed_value, min_signed_value
 
 #: Retained schedule bytes allowed per lowered instruction.
 MAX_BYTES_PER_INSTRUCTION = 64
+
+#: Peak bytes a chunk may take beyond ``_WAVE_CHUNK_BYTES``: the per-instance
+#: result tuples and ``CAMStats`` objects, and allocator rounding.
+CHUNK_SLACK_BYTES = 1024 * 1024
 
 
 def test_resnet18_schedule_bytes_per_instruction():
@@ -74,3 +87,74 @@ def test_resnet18_schedule_bytes_per_instruction():
         f"lockstep schedules retain {per_instruction:.1f} B per lowered "
         f"instruction ({retained} B for {instructions})"
     )
+
+
+def test_vgg9_narrow_word_chunks_peak_within_budget():
+    model = build_vgg9(width_multiplier=1 / 16, input_size=16, sparsity=0.85, rng=0)
+    session = Session(
+        model=model,
+        input_shape=(3, 16, 16),
+        bits=4,
+        signed=False,
+        backend="batched",
+        executor="serial",
+    )
+    try:
+        session.compile().deploy()
+        plan = session.plan
+    finally:
+        session.close()
+    columns = plan.lease_columns
+    domains = DEFAULT_RTM_TECHNOLOGY.domains_per_nanowire
+    rng = np.random.default_rng(0)
+    budget = batched._WAVE_CHUNK_BYTES
+    peaks = []
+    for layer in plan.layers:
+        for tile in layer.tiles:
+            compiled = [
+                batched.compile_program_wave(program, columns, domains)
+                for program in tile.programs
+            ]
+            rows = tile.rows
+            schedule = batched._schedule(compiled, rows, columns)
+            assert schedule.word == np.dtype(np.uint8)
+            replay = batched._replay_plan(compiled)
+            # One instance more than a chunk holds: the budget binds.
+            chunk = schedule.chunk(rows, 1 << 30, replay)
+            total = chunk + 1
+            staged = batched.StagedWaveInputs(
+                total,
+                rows,
+                [
+                    {
+                        name: rng.integers(
+                            min_signed_value(width),
+                            max_signed_value(width) + 1,
+                            size=(total, rows),
+                        )
+                        for name, width in lowered.load_widths().items()
+                    }
+                    for lowered in compiled
+                ],
+            )
+            operands = batched._block_operands(schedule, compiled, staged, rows)
+            assert operands is not None
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                results = batched._execute_wave_chunk(
+                    schedule, replay, operands, 0, chunk, total, rows
+                )
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert results is not None and len(results) == chunk
+            assert peak <= budget + CHUNK_SLACK_BYTES, (
+                f"{layer.name}: a {chunk}-instance chunk peaked at {peak} B "
+                f"against a {budget} B budget"
+            )
+            peaks.append(peak)
+    # Priced at the word size, the largest chunks fill most of the budget
+    # (priced as uint64 words, they would fill about an eighth of it).
+    assert max(peaks) >= budget // 2
