@@ -31,21 +31,31 @@ undefined unless they already were).  A *self-contained* program reads only
 domains it defined itself, so nothing its predecessors left on the AP can
 reach its results: it runs in its own zeroed slice of a ``(block x columns,
 instances, rows)`` word tensor, side by side with the other programs of its
-block.  The schedule groups the block's instructions by kind (arithmetic,
-copy, clear), always taking the next instruction of each program it
-advances; the four add/sub LUTs share arithmetic groups through
-per-instruction pass flips and signs, padded to five passes.  The kernel
-executes each group - one instruction from each of up to ``block``
-programs - with one set of NumPy calls on gathered ``(programs, instances,
-rows)`` words, then scatters the results back.  A program that does read
-stale state starts a new block whose first slice is seeded with the true AP
-state before it, which the kernel composes from the earlier slices while a
-later block needs it.  The block width follows from the tile's static shape
-(:data:`_BLOCK_WORDS` words of block state per instance), so each tile's
-schedule is built once, at deploy, by :func:`wave_staging_plan`.  Instances
-run in chunks under one byte budget (:data:`_WAVE_CHUNK_BYTES`) covering the
-block state, the gathered operand loads and the minterm temporaries, priced
-at the schedule's word size.
+block.  A program that does read stale state starts a new block whose first
+slice is seeded with the true AP state before it, which the kernel composes
+from the earlier slices while a later block needs it.  The block width
+follows from the tile's static shape (:data:`_BLOCK_WORDS` words of block
+state per instance), so each tile's schedule is built once, at deploy, by
+:func:`wave_staging_plan`.
+
+Level groups.  Lowering also gives every record a dataflow level: one past
+the last write of any column it reads or writes (RAW and WAW edges) and one
+past the last read of the column it writes (WAR edge).  Records of one level
+write distinct words and read none that another of them writes, so they
+may run at once - in an adder tree, every addition at one depth.  The
+schedule sorts each block's records by (level, kind, program order) and
+runs each run of equal (level, kind) as one group: at each depth, every
+program's independent additions together, then its copies, then its
+clears.  Because the kinds of one level run one after another, the WAR edge
+is strict.  The four add/sub LUTs share arithmetic groups through
+per-record pass flips and signs, padded to five passes.  The kernel
+executes each group with one set of NumPy calls on gathered ``(records,
+instances, rows)`` words, then scatters the results back.  Counters do not
+depend on the order: the replay reads each record's fire words by its slot
+in program order.  Instances run in chunks under one byte budget
+(:data:`_WAVE_CHUNK_BYTES`) covering the block state, the gathered operand
+loads and the minterm temporaries of the block's largest group, priced at
+the schedule's word size.
 
 Equivalence contract (same as every backend, see :mod:`repro.ap.backends.base`):
 
@@ -64,8 +74,9 @@ Equivalence contract (same as every backend, see :mod:`repro.ap.backends.base`):
   the bits whose rows that pass writes.  Per instruction the kernel records
   only the OR over rows of each pass word (the *fire words*) and the number
   of matched bits (``np.bitwise_count`` of the OR of the pass words, which
-  are disjoint), in the instruction's slot of the program sequence.  After each chunk, one replay derives ``write_phases``
-  and ``written_bits`` from those records, and replays the alignment events
+  are disjoint), in the instruction's slot of the program sequence.  After
+  each chunk, one replay derives ``write_phases`` and ``written_bits`` from
+  those records, and replays the alignment events
   of the whole program sequence for ``lockstep_shift_steps``
   (``track_shifts`` is always ``lockstep x rows``).  Source, carry, copy and
   clear runs are data-independent and precomputed per program; an
@@ -212,13 +223,13 @@ _ARITH, _COPY, _CLEAR = range(3)
 #: Fields of one lowered record (``int`` entries of ``_Lowering.records``):
 #: group kind, LUT index (arithmetic), source A and B regions (column,
 #: offset, width), instruction width, fire slot, the one destination written
-#: (column, offset, cleared width) and whether it is a narrow extra
-#: destination.
+#: (column, offset, cleared width), whether it is a narrow extra destination
+#: and its dataflow level (see :meth:`_Lowering.level`).
 (
     _KIND, _LUT, _A_COL, _A_OFF, _A_WIDTH, _B_COL, _B_OFF, _B_WIDTH,
-    _WIDTH, _SLOT, _D_COL, _D_OFF, _D_WIDTH, _NARROW,
-) = range(14)
-_FIELDS = 14
+    _WIDTH, _SLOT, _D_COL, _D_OFF, _D_WIDTH, _NARROW, _LEVEL,
+) = range(15)
+_FIELDS = 15
 
 
 # ----------------------------------------------------------------------
@@ -228,21 +239,21 @@ class _CompiledWaveProgram:
     """One program lowered for wave execution (valid for a geometry).
 
     ``records`` holds one fixed-size integer record per destination write, in
-    program order (an instruction with several destinations lowers to one
-    record per destination; re-evaluating it is exact because destinations
-    never alias its sources).  The operand bindings are ``load_names`` with
-    one ``(column, offset, width)`` triple per load in ``load_table``, and
-    ``read_names`` (sorted: the slot order of the stacked readout) with one
-    ``(column, offset, width, negated)`` quadruple per output in
-    ``output_table``.  Besides those it holds the program's data-independent
-    accounting from :class:`_Lowering`: the alignment events, the per-slot
-    width masks and written-column counts, and the static counter totals.
-    ``self_contained`` says whether every source and output read touches
-    only domains the program defined itself; ``clean`` whether every domain
-    it writes is defined afterwards (not so above a narrow extra destination
-    over undefined domains), and ``defined`` holds the mask of its defined
-    domains per column.  ``sequence_plans`` memoises the replay plan and
-    lockstep schedules of every program sequence this program starts.
+    program order, each with its dataflow level (an instruction with several
+    destinations lowers to one record per destination; re-evaluating it is
+    exact because destinations never alias its sources).  The operand bindings
+    are ``load_names`` with one ``(column, offset, width)`` triple per load in
+    ``load_table``, and ``read_names`` (sorted: the slot order of the stacked
+    readout) with one ``(column, offset, width, negated)`` quadruple per
+    output in ``output_table``.  Besides those it holds the program's
+    data-independent accounting from :class:`_Lowering`: the alignment events,
+    the per-slot width masks and written-column counts, and the static counter
+    totals.  ``self_contained`` says whether every source and output read
+    touches only domains the program defined itself; ``clean`` whether every
+    domain it writes is defined afterwards (not so above a narrow extra
+    destination over undefined domains), and ``defined`` holds the mask of its
+    defined domains per column.  ``sequence_plans`` memoises the replay plan
+    and lockstep schedules of every program sequence this program starts.
     """
 
     __slots__ = (
@@ -329,8 +340,8 @@ def _region_fits(region: ColumnRegion, columns: int, domains: int) -> bool:
 
 
 class _Lowering:
-    """Accumulates one program's records, fire slots, events, counters and
-    defined domains."""
+    """Accumulates one program's records, fire slots, events, counters,
+    defined domains and dataflow levels."""
 
     def __init__(self, carry: int, columns: int, domains: int) -> None:
         self.carry = carry
@@ -339,8 +350,8 @@ class _Lowering:
         #: Flat record fields, packed into an ``array('i')`` once lowered.
         self.records: List[int] = []
         self.slot_widths = array("i")
-        self.slot_columns: List[int] = []
-        self.copy_slots: List[int] = []
+        self.slot_columns = array("i")
+        self.copy_slots = array("i")
         #: Flat ``column, first, last, slot`` quadruples in program order
         #: (packed ints, not one tuple per event: less memory, fewer objects
         #: for the garbage collector to traverse).
@@ -351,12 +362,35 @@ class _Lowering:
         self.written_per_row = 0
         #: Column -> bitmask of the domains the program has defined so far.
         self.defined: Dict[int, int] = {}
+        #: Per column: the level of the last record that wrote / read it.
+        self.written = [-1] * columns
+        self.read = [-1] * columns
         self.self_contained = True
         self.clean = True
 
     def define(self, column: int, offset: int, width: int) -> None:
         defined = self.defined
         defined[column] = defined.get(column, 0) | (((1 << width) - 1) << offset)
+
+    def level(self, column: int, sources: Tuple[int, ...]) -> int:
+        """The level of a record that reads ``sources`` and writes
+        ``column``: one past the last write of any of them (RAW and WAW
+        edges) and one past the last read of ``column`` (WAR edge).  The
+        WAR edge is strict because same-level groups of different kinds run
+        one after another.  Records the write and the reads (an
+        instruction's destinations are never its sources, so the records of
+        one instruction do not see each other's reads)."""
+        written, read = self.written, self.read
+        level = max(written[column], read[column])
+        for source in sources:
+            if written[source] > level:
+                level = written[source]
+        level += 1
+        written[column] = level
+        for source in sources:
+            if read[source] < level:
+                read[source] = level
+        return level
 
     def use(self, region: ColumnRegion) -> None:
         """A read of ``region``: the program stops being self-contained if
@@ -463,8 +497,10 @@ class _Lowering:
             self.self_contained = False
         sources = (_ARITH, lut, a_col, a_off, a_width, b_col, b_off, b_width)
         sources += (width, slot)
+        read = (a_col, b_col)
         for column, offset, cleared, narrow in targets:
-            self.records.extend(sources + (column, offset, cleared, narrow))
+            level = self.level(column, read)
+            self.records.extend(sources + (column, offset, cleared, narrow, level))
             mask = defined.get(column, 0)
             if narrow:
                 # Above its own width, a narrow destination keeps the stale
@@ -505,11 +541,13 @@ class _Lowering:
         self.use(src)
         # The single source fills both source fields of the record.
         source = (src.column, src.domain_offset, src.width)
+        read = (src.column,)
         for region in dests:
             offset = region.domain_offset
+            level = self.level(region.column, read)
             self.records.extend(
                 (_COPY, 0) + source + source + (width, slot, region.column, offset)
-                + (width, 0)
+                + (width, 0, level)
             )
             self.define(region.column, offset, width)
             self.events.extend((region.column, offset, offset + width - 1, -1))
@@ -527,6 +565,7 @@ class _Lowering:
             column, offset, width = region.column, region.domain_offset, region.width
             self.records.extend(
                 (_CLEAR, 0, 0, 0, 0, 0, 0, 0, width, 0, column, offset, width, 0)
+                + (self.level(column, ()),)
             )
             self.define(column, offset, width)
             self.events.extend((column, offset, offset + width - 1, -1))
@@ -634,8 +673,9 @@ def wave_staging_plan(
     execution.
 
     Lowers every program for the wave geometry and builds the tile's
-    lockstep schedule (both memoised - calling this at deploy time moves the
-    whole lowering and scheduling cost out of the serving window).  Returns,
+    lockstep schedule and replay plan (all memoised - calling this at deploy
+    time moves the whole lowering, scheduling and replay-planning cost out
+    of the serving window).  Returns,
     per program, the operand name -> region width map the host stages, or
     ``None`` when any program would decline wave execution, so the caller
     can route the layer to the per-payload path up front.
@@ -654,6 +694,7 @@ def wave_staging_plan(
         compiled.append(lowered)
     if compiled:
         _schedule(compiled, rows, columns)
+        _replay_plan(compiled)
     return [lowered.load_widths() for lowered in compiled]
 
 
@@ -670,26 +711,19 @@ class _ReplayPlan:
     """
 
     def __init__(self, compiled: Sequence[_CompiledWaveProgram]) -> None:
-        self.slot_bases: List[int] = []
-        slot_widths: List[int] = []
-        slot_columns: List[int] = []
-        copy_slots: List[int] = []
-        tables = [np.zeros((0, 4), dtype=np.int64)]
-        for lowered in compiled:
-            base = len(slot_widths)
-            self.slot_bases.append(base)
-            slot_widths += lowered.slot_widths
-            slot_columns += lowered.slot_columns
-            copy_slots += [base + slot for slot in lowered.copy_slots]
-            table = np.frombuffer(lowered.events, dtype=np.intc).reshape(-1, 4)
-            table = table.astype(np.int64)
-            # Program-local fire slots become wave slots (static runs keep -1).
-            table[table[:, 3] >= 0, 3] += base
-            tables.append(table)
-        self.slots = len(slot_widths)
-        self.slot_masks = (np.int64(1) << np.array(slot_widths, dtype=np.int64)) - 1
-        self.slot_columns = np.array(slot_columns, dtype=np.int64)
-        self.copy_slots = np.array(copy_slots, dtype=np.intp)
+        # Program-local fire slots become wave slots.
+        bases = np.cumsum([0] + [len(p.slot_widths) for p in compiled][:-1])
+        widths = _flat_table([p.slot_widths for p in compiled], 1)[:, 0]
+        self.slots = len(widths)
+        self.slot_masks = (np.int64(1) << widths) - 1
+        self.slot_columns = _flat_table([p.slot_columns for p in compiled], 1)[:, 0]
+        copies = _flat_table([p.copy_slots for p in compiled], 1)[:, 0]
+        copies += np.repeat(bases, [len(p.copy_slots) for p in compiled])
+        self.copy_slots = copies.astype(np.intp)
+        table = _flat_table([p.events for p in compiled], 4)
+        event_bases = np.repeat(bases, [len(p.events) // 4 for p in compiled])
+        fired = table[:, 3] >= 0  # (static runs keep slot -1)
+        table[fired, 3] += event_bases[fired]
         self.search_phases = sum(p.search_phases for p in compiled)
         self.searched_per_row = sum(p.searched_per_row for p in compiled)
         self.write_phases = sum(p.write_phases for p in compiled)
@@ -697,8 +731,7 @@ class _ReplayPlan:
         self.loaded_per_row = sum(p.loaded_per_row for p in compiled)
         self.read_per_row = sum(p.read_per_row for p in compiled)
 
-        table = np.concatenate(tables)
-        mixed = np.isin(table[:, 0], table[table[:, 3] >= 0, 0])
+        mixed = np.isin(table[:, 0], table[fired, 0])
         static = _sorted_events(table[~mixed])
         # Every run of a static column is active on every instance.
         self.static_steps = int(
@@ -759,56 +792,11 @@ def _schedule(
     return schedule
 
 
-def _lockstep_order(
-    kinds: np.ndarray, lengths: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group the records of side-by-side programs for lockstep execution.
-
-    ``kinds`` holds the record kinds of every program, program after
-    program, ``lengths`` each program's record count.  Each group takes the
-    *next* record of every program whose next record has the group's kind,
-    so every program's records still run in program order; the kind
-    advancing the most outstanding records goes first.  Returns the record
-    order (indices into ``kinds``), each group's kind and the group
-    boundaries in that order (``groups + 1`` offsets).
-    """
-    programs = len(lengths)
-    stride = int(lengths.max(initial=0)) + 1
-    owner = np.repeat(np.arange(programs), lengths)
-    starts = np.zeros(programs, dtype=np.intp)
-    np.cumsum(lengths[:-1], out=starts[1:])
-    # Program j's kinds, shifted up by one, at ``[j * stride, ...)`` of a
-    # flat table whose zeros mark the end of every program.
-    cells = owner * stride + np.arange(len(kinds)) - starts[owner]
-    table = np.zeros(programs * stride, dtype=np.intp)
-    table[cells] = kinds + 1
-    record = np.zeros(programs * stride, dtype=np.intp)
-    record[cells] = np.arange(len(kinds))
-    cursor = np.arange(programs) * stride
-    remaining = lengths.astype(np.float64)
-    order: List[np.ndarray] = []
-    group_kinds: List[int] = []
-    bounds = [0]
-    while True:
-        following = table[cursor]
-        scores = np.bincount(following, weights=remaining, minlength=_CLEAR + 2)
-        kind = int(scores[1:].argmax()) + 1
-        if not scores[kind]:
-            break
-        chosen = (following == kind).nonzero()[0]
-        order.append(cursor[chosen])
-        group_kinds.append(kind - 1)
-        bounds.append(bounds[-1] + len(chosen))
-        cursor[chosen] += 1
-        remaining[chosen] -= 1
-    flat = record[np.concatenate(order)] if order else np.zeros(0, dtype=np.intp)
-    return flat, np.array(group_kinds, dtype=np.intp), np.array(bounds, dtype=np.intp)
-
-
 class _Block:
     """One lockstep block: programs ``[start, stop)`` of the sequence side by
     side, with their spans of the schedule's group, record, load and output
-    arrays.
+    arrays.  Its groups are the runs of equal (level, kind) of its records,
+    in level order.
 
     ``seeded`` blocks start their first slice from the true AP state before
     ``start`` (zeros on a fresh AP); ``tracks`` blocks are followed by a
@@ -846,6 +834,12 @@ def _flat_table(arrays: Sequence[array], fields: int) -> np.ndarray:
 class _Schedule:
     """The lockstep form of one program sequence for one tile shape.
 
+    Each block's records are sorted by (level, kind, program order) - one
+    ``np.lexsort`` over the sequence, block first - and every run of equal
+    (level, kind) is one group: the block's records of one dataflow depth
+    and kind, which write distinct words and read none that another of them
+    writes.
+
     Struct-of-arrays, compact at rest: the record fields are contiguous
     int32/uint8 arrays with one entry per lowered record, in group order
     across all blocks (sources have two entries per record, see below).
@@ -860,7 +854,9 @@ class _Schedule:
     ``(kind, first, stop, narrow)`` int32 row per group, its span relative
     to the block's first record.  Loads and outputs are laid out the same
     way, in program order.  :meth:`chunk` prices one instance against
-    :data:`_WAVE_CHUNK_BYTES`.
+    :data:`_WAVE_CHUNK_BYTES`, with group temporaries for the records of the
+    largest group of any block (which can far outnumber the block's
+    programs: a wide adder tree fills its first level).
     """
 
     __slots__ = (
@@ -898,8 +894,7 @@ class _Schedule:
         block_of = np.repeat(np.arange(len(starts)), np.subtract(stops, starts))
         bases = (np.arange(programs) - np.asarray(starts)[block_of]) * columns
 
-        # Records stay program-major, so each block keeps its record range;
-        # the lockstep order only permutes records within a block.
+        # Records stay program-major, so each block keeps its record range.
         counts = np.array([len(p.records) // _FIELDS for p in compiled])
         firsts = np.concatenate(([0], np.cumsum(counts)))
         owner = np.repeat(np.arange(programs), counts)
@@ -908,39 +903,38 @@ class _Schedule:
         slot_bases = np.cumsum([0] + [len(p.slot_widths) for p in compiled])
         table[:, _SLOT] += slot_bases[owner]
         table[:, (_A_COL, _B_COL, _D_COL)] += bases[owner, None]
-        orders, group_kinds, group_firsts, group_stops = [], [], [], []
-        block_groups = [0]
-        for start, stop in zip(starts, stops):
-            first = firsts[start]
-            order, kinds, bounds = _lockstep_order(
-                table[first : firsts[stop], _KIND], counts[start:stop]
-            )
-            orders.append(order + first)
-            group_kinds.append(kinds)
-            group_firsts.append(bounds[:-1])
-            group_stops.append(bounds[1:])
-            block_groups.append(block_groups[-1] + len(kinds))
-        table = table[np.concatenate(orders)]
-        kinds = np.concatenate(group_kinds)
-        # Group spans relative to their block's first record, and global.
-        local_firsts = np.concatenate(group_firsts)
-        local_stops = np.concatenate(group_stops)
-        group_block = np.repeat(np.arange(len(starts)), np.diff(block_groups))
+        # Within each block, records run by (level, kind, program order);
+        # a group is a run of equal (block, level, kind).  (Records are
+        # already block-major, so ``record_block`` stays sorted.)
+        record_block = block_of[owner]
+        table = table[
+            np.lexsort((table[:, _KIND], table[:, _LEVEL], record_block))
+        ]
+        key = np.column_stack([record_block, table[:, _LEVEL], table[:, _KIND]])
+        breaks = np.ones(len(table) + 1, dtype=bool)
+        breaks[1:-1] = (key[1:] != key[:-1]).any(axis=1)
+        bounds = np.flatnonzero(breaks)
+        group_firsts, group_stops = bounds[:-1], bounds[1:]
+        group_block = record_block[group_firsts]
+        block_groups = np.searchsorted(group_block, np.arange(len(starts) + 1))
+        # Group spans relative to their block's first record.
         offsets = firsts[np.asarray(starts)][group_block]
         narrow = (
-            np.maximum.reduceat(table[:, _NARROW], local_firsts + offsets)
-            if len(kinds)
+            np.maximum.reduceat(table[:, _NARROW], group_firsts)
+            if len(group_firsts)
             else np.zeros(0, dtype=np.int64)
         )
         self.groups = np.column_stack(
-            [kinds, local_firsts, local_stops, narrow]
+            [
+                table[group_firsts, _KIND],
+                group_firsts - offsets,
+                group_stops - offsets,
+                narrow,
+            ]
         ).astype(np.int32)
-        # Per record: the global first and stop record of its group.
-        span_of = np.repeat(
-            np.column_stack([local_firsts, local_stops]) + offsets[:, None],
-            local_stops - local_firsts,
-            axis=0,
-        )
+        sizes = group_stops - group_firsts
+        # Per record: the first and stop record of its group.
+        span_of = np.repeat(np.column_stack([group_firsts, group_stops]), sizes, axis=0)
 
         load_counts = np.array([len(p.load_names) for p in compiled])
         loads = _flat_table([p.load_table for p in compiled], 3)
@@ -995,7 +989,7 @@ class _Schedule:
                     stop,
                     last_seed > 0 and start <= last_seed,
                     last_seed > 0 and stop <= last_seed,
-                    (block_groups[index], block_groups[index + 1]),
+                    (int(block_groups[index]), int(block_groups[index + 1])),
                     (int(firsts[start]), int(firsts[stop])),
                     load_span,
                     rounds,
@@ -1004,14 +998,18 @@ class _Schedule:
             )
             # Per instance row: block state, loads (stacked as int64, then
             # as words), group temporaries (sources, carries, result,
-            # literals, minterms and target words of up to ``stop - start``
-            # records) and the block's readout.
+            # literals, minterms and target words of the block's largest
+            # group) and the block's readout.
             block_loads = load_span[1] - load_span[0]
+            largest = int(
+                sizes[block_groups[index] : block_groups[index + 1]].max(initial=0)
+            )
             row_bytes = max(
                 row_bytes,
                 unsigned.itemsize
                 * (
-                    (stop - start) * (columns + 28)
+                    (stop - start) * columns
+                    + 28 * largest
                     + block_loads
                     + output_span[1] - output_span[0]
                 )
@@ -1076,6 +1074,13 @@ class _Schedule:
             if outputs[:, 3].any()
             else None
         )
+
+    def count_dtype(self, rows: int) -> np.dtype:
+        """Accumulator of the matched-bit counts on ``rows`` rows: ``uint16``
+        is exact while ``rows x word bits`` stays below ``2**16``; larger
+        tiles accumulate in ``int64``."""
+        exact = rows * 8 * self.word.itemsize < 1 << 16
+        return np.dtype(np.uint16 if exact else np.int64)
 
     def chunk(self, rows: int, total: int, plan: _ReplayPlan) -> int:
         """Instances per chunk under :data:`_WAVE_CHUNK_BYTES` (block state
@@ -1446,14 +1451,17 @@ def _run_groups(
     block: _Block,
     fires: np.ndarray,
     counts: np.ndarray,
+    count_dtype: np.dtype,
 ) -> None:
-    """Execute one block's groups: each evaluates one record of each of its
-    programs on every instance of the chunk.
+    """Execute one block's groups: each evaluates its records - writes to
+    distinct words that read none of the group's targets - on every
+    instance of the chunk.
 
     ``fires[:, slot]`` receives one ``(passes, instances)`` fire record per
     arithmetic record (the OR over rows of each pass word) and, per copy,
     the OR and AND over rows of the copied word; ``counts[slot]`` the
-    matched bits of an arithmetic record per instance.  Everything else a
+    matched bits of an arithmetic record per instance, summed over rows in
+    ``count_dtype`` (:meth:`_Schedule.count_dtype`).  Everything else a
     counter needs is static (see :func:`_replay`).
     """
     bitwise_or_reduce = np.bitwise_or.reduce
@@ -1531,7 +1539,7 @@ def _run_groups(
             # disjoint: their OR holds every matched bit once.
             fired = bitwise_or_reduce(minterms, axis=0)
             counts[slots] = np.add.reduce(
-                np.bitwise_count(fired), axis=2, dtype=np.int64
+                np.bitwise_count(fired), axis=2, dtype=count_dtype
             )
             result &= mask
             bits = result.view(unsigned)
@@ -1600,6 +1608,7 @@ def _execute_wave_chunk(
     # the per-payload partial-sum matrix the inference reduction consumes.
     stacked = np.empty((instances, schedule.outputs, rows), dtype=np.int64)
     truth: Optional[np.ndarray] = None
+    count_dtype = schedule.count_dtype(rows)
     for block, block_operands in zip(schedule.blocks, operands):
         state = np.zeros(
             ((block.stop - block.start) * columns, instances, rows),
@@ -1615,7 +1624,7 @@ def _execute_wave_chunk(
                 state, schedule, block, block_operands, start, stop, total
             ):
                 return None
-        _run_groups(state, schedule, block, fires, counts)
+        _run_groups(state, schedule, block, fires, counts, count_dtype)
         _read_block(state, schedule, block, stacked)
         if block.tracks:
             truth = _compose(

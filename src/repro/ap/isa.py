@@ -67,6 +67,11 @@ class APOpcode(enum.Enum):
         return None
 
 
+#: The add/sub opcodes, for per-instruction counting (a set lookup is several
+#: times cheaper than the :attr:`APOpcode.is_arithmetic` property call).
+_ARITHMETIC_OPCODES = frozenset(opcode for opcode in APOpcode if opcode.is_arithmetic)
+
+
 @dataclass(frozen=True)
 class ColumnRegion:
     """A multi-bit operand stored on one CAM column.
@@ -230,7 +235,9 @@ class APProgram:
     @property
     def num_arithmetic_ops(self) -> int:
         """Number of add/sub instructions (the paper's #Adds/Subs metric)."""
-        return sum(1 for instr in self.instructions if instr.opcode.is_arithmetic)
+        return sum(
+            1 for instr in self.instructions if instr.opcode in _ARITHMETIC_OPCODES
+        )
 
     @property
     def num_inplace_ops(self) -> int:

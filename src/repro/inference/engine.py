@@ -209,7 +209,9 @@ def _plan_node(node, columns: int, technology, wave_capable: bool) -> _NodePlan:
 
     On wave-capable backends :func:`wave_staging_plan` - called here, at
     engine construction - also pre-lowers every program to its wave form,
-    moving the whole compile-to-wave cost out of the first request.
+    moving the whole compile-to-wave cost out of the first request.  Each
+    tile's add/sub count, which layer aggregation reads on every request,
+    is counted here too.
     """
     rows_per_ap = node.mapping.rows_per_ap
     tile_specs = []
@@ -217,6 +219,8 @@ def _plan_node(node, columns: int, technology, wave_capable: bool) -> _NodePlan:
     by_key: Dict[tuple, _TileGroup] = {}
     widths_seen: set = set()
     for index, tile in enumerate(node.planned.tiles):
+        # Fills the tile's cached add/sub count before the first request.
+        tile.num_arithmetic_ops
         start = tile.row_tile * rows_per_ap
         row_slice = slice(start, start + tile.rows)
         # Static reduction layout: each program emits its outputs in

@@ -11,6 +11,8 @@ execute_program_wave` either reproduces per-instance execution byte for
 byte or declines (returns ``None``) so the caller falls back.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -41,7 +43,10 @@ from repro.ap.core import AssociativeProcessor
 from repro.ap.isa import APInstruction, APOpcode, APProgram, ColumnRegion
 from repro.ap.lut import all_luts, simulate_lut_passes
 from repro.errors import ConfigurationError
+from repro.nn.models.resnet import build_resnet18
+from repro.nn.models.vgg import build_vgg9
 from repro.rtm.timing import DEFAULT_RTM_TECHNOLOGY, RTMTechnology
+from repro.session import Session
 
 
 def run_both(program, inputs, rows=16, columns=16):
@@ -819,6 +824,186 @@ class TestLockstepWaves:
         )
 
 
+def program_records(program):
+    """``(kind, source columns, target column)`` of each destination write of
+    ``program`` in program order, read off its instructions: the records a
+    lowering must run (an in-place add or sub writes only its ``dest``)."""
+    for instruction in program.instructions:
+        opcode = instruction.opcode
+        if opcode.is_arithmetic:
+            kind = batched_module._ARITH
+            sources = (instruction.src_a.column, instruction.src_b.column)
+            targets = instruction.all_dests
+            if opcode.is_inplace:
+                targets = (instruction.dest,)
+        elif opcode is APOpcode.COPY:
+            kind = batched_module._COPY
+            sources = (instruction.src_a.column,)
+            targets = instruction.all_dests
+        else:
+            kind = batched_module._CLEAR
+            sources = ()
+            targets = instruction.all_dests
+        for region in targets:
+            yield kind, sources, region.column
+
+
+def assert_schedule_invariants(programs, schedule, columns):
+    """Every group of ``schedule`` writes distinct words and reads none of
+    the other records' targets, and every record reads and overwrites the
+    same versions of its words as in program order.
+
+    A word's version counts the writes to it so far.  Walking each block's
+    programs in program order gives every record a read signature: its
+    kind, its source words and its target word, each with the version it
+    sees.  Walking the block's groups in schedule order - a group gathers
+    all its sources before it scatters any target - must give the same
+    multiset of signatures, which holds exactly when the schedule keeps
+    every RAW, WAW and WAR order on words.
+    """
+    for block in schedule.blocks:
+        versions = {}
+        expected = Counter()
+        for index in range(block.start, block.stop):
+            base = (index - block.start) * columns
+            for kind, sources, target in program_records(programs[index]):
+                reads = frozenset(
+                    (base + column, versions.get(base + column, 0))
+                    for column in sources
+                )
+                word = base + target
+                expected[kind, reads, word, versions.get(word, 0)] += 1
+                versions[word] = versions.get(word, 0) + 1
+        versions = {}
+        scheduled = Counter()
+        first_record = block.records[0]
+        for kind, lo, hi, _ in schedule.groups[slice(*block.groups)].tolist():
+            targets = schedule.t_idx[first_record + lo : first_record + hi].tolist()
+            assert len(set(targets)) == len(targets), "a group writes a word twice"
+            sources = schedule.src_idx[
+                2 * first_record + 2 * lo : 2 * first_record + 2 * hi
+            ].tolist()
+            for position, word in enumerate(targets):
+                if kind == batched_module._CLEAR:
+                    reads = ()
+                else:
+                    # B regions first, then A regions (a copy's source sits
+                    # in both).
+                    reads = {sources[position], sources[hi - lo + position]}
+                    assert not reads & (set(targets) - {word}), (
+                        "a group reads a word another of its records writes"
+                    )
+                signature = frozenset((read, versions.get(read, 0)) for read in reads)
+                scheduled[kind, signature, word, versions.get(word, 0)] += 1
+            for word in targets:
+                versions[word] = versions.get(word, 0) + 1
+        assert scheduled == expected
+
+
+def deployed_tiles(model, input_shape):
+    """Each distinct ``(programs, rows)`` tile of ``model``'s deployed plan,
+    with the plan's lease columns."""
+    session = Session(
+        model=model,
+        input_shape=input_shape,
+        bits=4,
+        signed=False,
+        backend="batched",
+        executor="serial",
+    )
+    try:
+        session.compile().deploy()
+        plan = session.plan
+    finally:
+        session.close()
+    tiles = {}
+    for layer in plan.layers:
+        for tile in layer.tiles:
+            tiles.setdefault((tuple(map(id, tile.programs)), tile.rows), tile)
+    return list(tiles.values()), plan.lease_columns
+
+
+class TestLevelSchedule:
+    """Lockstep groups are dataflow levels of each block's records.
+
+    Generated tiles (self-contained, seeded, forced into narrow blocks) and
+    every tile of the benchmark models must satisfy
+    :func:`assert_schedule_invariants`; levels also fold a program's
+    independent additions into shared groups.
+    """
+
+    @pytest.mark.parametrize("block_words", [None, 40])
+    def test_generated_tiles_keep_word_order(self, monkeypatch, block_words):
+        if block_words is not None:
+            monkeypatch.setattr(batched_module, "_BLOCK_WORDS", block_words)
+        for seed in range(24):
+            rng = np.random.default_rng(13000 + seed)
+            make_tile = self_contained_tile if seed % 2 else random_program_tile
+            programs, columns = make_tile(rng)
+            rows = int(rng.integers(1, 9))
+            schedule = batched_module._schedule(
+                lowered(programs, columns), rows, columns
+            )
+            assert_schedule_invariants(programs, schedule, columns)
+
+    @pytest.mark.parametrize(
+        "build, input_shape",
+        [
+            (
+                lambda: build_vgg9(
+                    width_multiplier=1 / 16, input_size=16, sparsity=0.85, rng=0
+                ),
+                (3, 16, 16),
+            ),
+            (
+                lambda: build_resnet18(
+                    num_classes=10, base_width=8, sparsity=0.8, rng=0
+                ),
+                (3, 32, 32),
+            ),
+        ],
+        ids=["vgg9", "resnet18w8"],
+    )
+    def test_benchmark_tiles_keep_word_order(self, build, input_shape):
+        tiles, columns = deployed_tiles(build(), input_shape)
+        widest = 0
+        for tile in tiles:
+            schedule = batched_module._schedule(
+                lowered(tile.programs, columns), tile.rows, columns
+            )
+            assert_schedule_invariants(tile.programs, schedule, columns)
+            sizes = schedule.groups[:, 2] - schedule.groups[:, 1]
+            widest = max(widest, int(sizes.max()) / len(tile.programs))
+        # Independent additions of one adder tree share groups: some group
+        # holds several records per program of its tile.
+        assert widest > 1
+
+    def test_independent_adds_share_a_group(self):
+        """``y = (a + b) + (c + d)``: both inner adds run at level 0."""
+        regions = [ColumnRegion(column=column, width=4) for column in range(1, 5)]
+        left = ColumnRegion(column=5, width=5)
+        right = ColumnRegion(column=6, width=5)
+        total = ColumnRegion(column=7, width=6)
+        program = APProgram(name="tree", carry_column=0)
+        program.input_columns = {
+            name: region for name, region in zip("abcd", regions)
+        }
+        program.output_columns = {"y": total}
+        for dest, src_a, src_b in (
+            (left, regions[0], regions[1]),
+            (right, regions[2], regions[3]),
+            (total, left, right),
+        ):
+            program.append(
+                APInstruction(
+                    opcode=APOpcode.ADD_OUTOFPLACE, dest=dest, src_a=src_a, src_b=src_b
+                )
+            )
+        schedule = batched_module._schedule(lowered([program], 8), 3, 8)
+        assert schedule.groups[:, 1:3].tolist() == [[0, 2], [2, 3]]
+        assert_schedule_invariants([program], schedule, 8)
+
+
 #: Deepest domains either side of each word boundary, and the word each
 #: must run in: the narrowest with a spare bit above the deepest domain,
 #: ``uint64`` up to the 60-bit operand limit.
@@ -1048,6 +1233,23 @@ class TestWordWidths:
         )
         schedule = batched_module._schedule(lowered([program], 5), 6, 5)
         assert schedule.word == np.dtype(word)
+
+    def test_matched_bits_beyond_uint16_count_in_int64(self, rng):
+        """Matched-bit counts sum over rows in ``uint16`` only while ``rows x
+        word bits < 2**16``; a 15-bit add on 16384 rows matches more bits
+        than ``uint16`` holds, so its tile counts in ``int64``."""
+        programs, columns = add_tile(15)
+        rows = 16384
+        schedule = batched_module._schedule(lowered(programs, columns), rows, columns)
+        assert schedule.word == np.dtype(np.uint16)
+        assert schedule.count_dtype(rows) == np.dtype(np.int64)
+        assert schedule.count_dtype(4095) == np.dtype(np.uint16)
+        inputs = signed_inputs(programs[0], rows, 1, rng)
+        wave = execute_program_wave(programs, inputs, rows, columns)
+        baseline = per_instance_wave_baseline(programs, inputs, rows, columns)
+        # Each matched bit writes the destination and the carry column.
+        assert baseline[0][0].written_bits - rows > 2 << 16
+        assert_wave_matches_baseline(wave, baseline, programs, columns)
 
 
 class TestWaveExecution:

@@ -11,7 +11,10 @@ not counted.
 A wave runs in chunks of instances priced against ``_WAVE_CHUNK_BYTES`` at
 the schedule's word size.  The second gate runs one chunk of a wave on
 every tile of VGG-9 (width 1/16, all ``uint8`` words) and holds its
-``tracemalloc`` peak to the budget plus a stated slack.
+``tracemalloc`` peak to the budget plus a stated slack.  The third does the
+same for one wide adder tree, whose level groups hold many more records
+than its block has programs: the group temporaries must be priced at the
+largest group.
 """
 
 import gc
@@ -20,6 +23,7 @@ import tracemalloc
 import numpy as np
 
 from repro.ap.backends import batched
+from repro.ap.isa import APInstruction, APOpcode, APProgram, ColumnRegion
 from repro.nn.models.resnet import build_resnet18
 from repro.nn.models.vgg import build_vgg9
 from repro.rtm.timing import DEFAULT_RTM_TECHNOLOGY
@@ -115,41 +119,9 @@ def test_vgg9_narrow_word_chunks_peak_within_budget():
                 batched.compile_program_wave(program, columns, domains)
                 for program in tile.programs
             ]
-            rows = tile.rows
-            schedule = batched._schedule(compiled, rows, columns)
+            schedule = batched._schedule(compiled, tile.rows, columns)
             assert schedule.word == np.dtype(np.uint8)
-            replay = batched._replay_plan(compiled)
-            # One instance more than a chunk holds: the budget binds.
-            chunk = schedule.chunk(rows, 1 << 30, replay)
-            total = chunk + 1
-            staged = batched.StagedWaveInputs(
-                total,
-                rows,
-                [
-                    {
-                        name: rng.integers(
-                            min_signed_value(width),
-                            max_signed_value(width) + 1,
-                            size=(total, rows),
-                        )
-                        for name, width in lowered.load_widths().items()
-                    }
-                    for lowered in compiled
-                ],
-            )
-            operands = batched._block_operands(schedule, compiled, staged, rows)
-            assert operands is not None
-            gc.collect()
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                results = batched._execute_wave_chunk(
-                    schedule, replay, operands, 0, chunk, total, rows
-                )
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
-            assert results is not None and len(results) == chunk
+            peak, chunk = _chunk_peak(compiled, tile.rows, columns, rng)
             assert peak <= budget + CHUNK_SLACK_BYTES, (
                 f"{layer.name}: a {chunk}-instance chunk peaked at {peak} B "
                 f"against a {budget} B budget"
@@ -158,3 +130,94 @@ def test_vgg9_narrow_word_chunks_peak_within_budget():
     # Priced at the word size, the largest chunks fill most of the budget
     # (priced as uint64 words, they would fill about an eighth of it).
     assert max(peaks) >= budget // 2
+
+
+def _chunk_peak(compiled, rows, columns, rng):
+    """The ``tracemalloc`` peak of a wave's first chunk, one instance more
+    than a chunk holds, and the chunk's instance count."""
+    schedule = batched._schedule(compiled, rows, columns)
+    replay = batched._replay_plan(compiled)
+    chunk = schedule.chunk(rows, 1 << 30, replay)
+    total = chunk + 1
+    staged = batched.StagedWaveInputs(
+        total,
+        rows,
+        [
+            {
+                name: rng.integers(
+                    min_signed_value(width), max_signed_value(width) + 1,
+                    size=(total, rows),
+                )
+                for name, width in lowered.load_widths().items()
+            }
+            for lowered in compiled
+        ],
+    )
+    operands = batched._block_operands(schedule, compiled, staged, rows)
+    assert operands is not None
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        results = batched._execute_wave_chunk(
+            schedule, replay, operands, 0, chunk, total, rows
+        )
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert results is not None and len(results) == chunk
+    return peak, chunk
+
+
+def wide_adder_tree(inputs):
+    """One program whose first level is wide: the differences of every
+    ordered pair of ``inputs`` 2-bit operands, then their pairwise sum,
+    level by level, each result into a fresh column one bit wider."""
+    program = APProgram(name="tree", carry_column=0)
+    loaded = [ColumnRegion(column=1 + index, width=2) for index in range(inputs)]
+    program.input_columns = {f"x{index}": region for index, region in enumerate(loaded)}
+    column = 1 + inputs
+
+    def emit(opcode, src_a, src_b):
+        nonlocal column
+        dest = ColumnRegion(column=column, width=max(src_a.width, src_b.width) + 1)
+        column += 1
+        program.append(
+            APInstruction(opcode=opcode, dest=dest, src_a=src_a, src_b=src_b)
+        )
+        return dest
+
+    level = [
+        emit(APOpcode.SUB_OUTOFPLACE, src_a, src_b)
+        for src_a in loaded
+        for src_b in loaded
+        if src_a is not src_b
+    ]
+    while len(level) > 1:
+        level = [
+            emit(APOpcode.ADD_OUTOFPLACE, src_a, src_b)
+            for src_a, src_b in zip(level[::2], level[1::2])
+        ] + level[len(level) // 2 * 2 :]
+    program.output_columns = {"y": level[0]}
+    return program, column
+
+
+def test_wide_group_chunks_peak_within_budget():
+    program, columns = wide_adder_tree(8)
+    rows = 256
+    compiled = [
+        batched.compile_program_wave(
+            program, columns, DEFAULT_RTM_TECHNOLOGY.domains_per_nanowire
+        )
+    ]
+    schedule = batched._schedule(compiled, rows, columns)
+    sizes = schedule.groups[:, 2] - schedule.groups[:, 1]
+    # Its first level takes 56 differences in one group: 56 records for one
+    # program.
+    assert int(sizes.max()) >= 8 * len(compiled)
+    peak, chunk = _chunk_peak(compiled, rows, columns, np.random.default_rng(1))
+    budget = batched._WAVE_CHUNK_BYTES
+    assert chunk > 1
+    assert peak <= budget + CHUNK_SLACK_BYTES, (
+        f"a {chunk}-instance chunk peaked at {peak} B against a {budget} B budget"
+    )
