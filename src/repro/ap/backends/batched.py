@@ -54,8 +54,15 @@ instances, rows)`` words, then scatters the results back.  Counters do not
 depend on the order: the replay reads each record's fire words by its slot
 in program order.  Instances run in chunks under one byte budget
 (:data:`_WAVE_CHUNK_BYTES`) covering the block state, the gathered operand
-loads and the minterm temporaries of the block's largest group, priced at
-the schedule's word size.
+loads, the minterm temporaries of the block's largest group and the
+chunk's output rows, priced at the schedule's word size.
+
+Batch results.  A wave returns one :class:`WaveBatch`: every instance's
+outputs in one ``(outputs, instances, rows)`` array in the schedule's
+signed word dtype, which each chunk's readout fills with one gather per
+block, and the data-dependent counters as int64 arrays over instances.  The
+host folds and accounts the batch as a whole; nothing is built per
+instance unless a caller indexes the batch.
 
 Equivalence contract (same as every backend, see :mod:`repro.ap.backends.base`):
 
@@ -84,6 +91,10 @@ Equivalence contract (same as every backend, see :mod:`repro.ap.backends.base`):
   instruction's fire words, and is skipped where nothing fired.  Every
   instance's counters come out byte-identical to a standalone run on the
   reference interpreter.
+* **Checksums.**  An instance's checksum is the Python-int sum of its
+  outputs' int64 row sums, as a standalone run computes it;
+  :meth:`WaveBatch.checksum` sums them over the wave, and takes the int64
+  total of all outputs directly when that total cannot wrap.
 
 Operand input takes two forms: one ``{name: row vector}`` dict per
 (instance, program), validated and stacked per operand up front, or
@@ -102,7 +113,8 @@ ordinary backends raise the proper errors.  Every such decline goes through
 :func:`_decline` (a debug log line plus a ``backend.wave_decline`` trace
 instant).  :func:`wave_staging_plan` lets the host pre-flight (and
 pre-lower and pre-schedule) a tile's programs at deploy time, so serving
-requests never pay the lowering cost.
+requests never pay the lowering cost: a request finds the tile's lowered
+programs, schedule and replay plan with one lookup.
 
 :class:`BatchedBackend` itself subclasses the vectorized backend, so
 ``backend="batched"`` behaves identically to ``"vectorized"`` for ordinary
@@ -115,7 +127,7 @@ staged operands.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -126,7 +138,7 @@ from repro.ap.backends.vectorized import (
     lut_truth_matrix,
 )
 from repro.ap.isa import APOpcode, APProgram, ColumnRegion
-from repro.cam.stats import CAMStats
+from repro.cam.stats import COUNTER_FIELDS, CAMStats
 from repro.rtm.timing import DEFAULT_RTM_TECHNOLOGY, RTMTechnology
 from repro.telemetry.logs import get_logger
 from repro.utils.bitops import max_signed_value, min_signed_value
@@ -145,7 +157,13 @@ _BLOCK_WORDS = 16384
 
 #: Byte budget of one wave chunk - block state, gathered operand loads,
 #: minterm temporaries and output rows.  Instances beyond it run in
-#: equivalence-preserving chunks (instances are independent).
+#: equivalence-preserving chunks (instances are independent).  Swept on
+#: 96-image VGG-9 (width 1/16) requests, 2-vCPU host with 4 MiB of L2: with
+#: per-instance wave results 16 and 32 MiB were 5-18% slower than 8 MiB,
+#: and with a first form of batch results 4 MiB was 13-27% slower.  With
+#: batch results as they are, 4 alternating pairs of 26 s runs read 16 MiB
+#: about 7% faster (825 against 774 images/s, medians); the budget stays at
+#: 8 MiB until a sweep over every workload settles it.
 _WAVE_CHUNK_BYTES = 8 * 1024 * 1024
 
 #: Most passes of any Table-I LUT: the width of one instruction's fire record.
@@ -252,8 +270,7 @@ class _CompiledWaveProgram:
     touches only domains the program defined itself; ``clean`` whether every
     domain it writes is defined afterwards (not so above a narrow extra
     destination over undefined domains), and ``defined`` holds the mask of its
-    defined domains per column.  ``sequence_plans`` memoises the replay plan
-    and lockstep schedules of every program sequence this program starts.
+    defined domains per column.
     """
 
     __slots__ = (
@@ -275,7 +292,6 @@ class _CompiledWaveProgram:
         "self_contained",
         "clean",
         "defined",
-        "sequence_plans",
     )
 
     def __init__(self, program: APProgram, lowering: "_Lowering") -> None:
@@ -328,7 +344,6 @@ class _CompiledWaveProgram:
         self.defined = array("Q", bytes(8 * lowering.columns))
         for column, mask in lowering.defined.items():
             self.defined[column] = mask
-        self.sequence_plans: Dict[tuple, object] = {}
 
     def load_widths(self) -> Dict[str, int]:
         """Operand name -> loaded region width."""
@@ -684,18 +699,73 @@ def wave_staging_plan(
     domains = technology.domains_per_nanowire
     if columns < 1 or rows < 1 or domains > _WORD_BITS:
         return None
+    if not programs:
+        return []
+    sequence = _sequence(programs, rows, columns, domains, carry_column, False)
+    if sequence is None:
+        return None
+    return [lowered.load_widths() for lowered in sequence.compiled]
+
+
+class _WaveSequence:
+    """A tile's program sequence as the kernel runs it: the lowered programs,
+    their lockstep schedule and their replay plan.
+
+    Memoised on the first program, keyed by the geometry, the carry column,
+    the block width and the identity of every program; it holds the
+    programs themselves, so no key outlives the objects it names.
+    """
+
+    __slots__ = ("programs", "compiled", "schedule", "plan")
+
+    def __init__(self, programs, compiled, schedule, plan) -> None:
+        self.programs = programs
+        self.compiled = compiled
+        self.schedule = schedule
+        self.plan = plan
+
+
+def _sequence(
+    programs: Sequence[APProgram],
+    rows: int,
+    columns: int,
+    domains: int,
+    carry_column: int,
+    decline: bool,
+) -> Optional[_WaveSequence]:
+    """The :class:`_WaveSequence` of a non-empty program sequence, built on
+    first use (by :func:`wave_staging_plan`, at deploy) and found with one
+    lookup afterwards; ``None`` when a program cannot run in a wave, with
+    a :func:`_decline` if ``decline``."""
+    width = _block_width(len(programs), rows, columns)
+    key = (columns, domains, carry_column, width, *map(id, programs))
+    memo = programs[0].__dict__.get("_wave_sequences")
+    if memo is None:
+        memo = programs[0].__dict__["_wave_sequences"] = {}
+    sequence = memo.get(key)
+    if sequence is not None:
+        return sequence
     compiled: List[_CompiledWaveProgram] = []
     for program in programs:
         if program.carry_column != carry_column:
+            if decline:
+                _decline(
+                    "carry-mismatch", program=program.carry_column, wave=carry_column
+                )
             return None
         lowered = compile_program_wave(program, columns, domains)
         if lowered is None:
+            if decline:
+                _decline("program-lowering", columns=columns, domains=domains)
             return None
         compiled.append(lowered)
-    if compiled:
-        _schedule(compiled, rows, columns)
-        _replay_plan(compiled)
-    return [lowered.load_widths() for lowered in compiled]
+    sequence = memo[key] = _WaveSequence(
+        tuple(programs),
+        compiled,
+        _schedule(compiled, rows, columns),
+        _ReplayPlan(compiled),
+    )
+    return sequence
 
 
 # ----------------------------------------------------------------------
@@ -747,17 +817,6 @@ class _ReplayPlan:
         self.dynamic_slots = self.events[self.dynamic, 3]
 
 
-def _replay_plan(compiled: Sequence[_CompiledWaveProgram]) -> _ReplayPlan:
-    """The :class:`_ReplayPlan` of a program sequence, memoised on its first
-    program (a tile runs the same sequence on every request)."""
-    key = tuple(compiled)
-    plans = compiled[0].sequence_plans
-    plan = plans.get(key)
-    if plan is None:
-        plan = plans[key] = _ReplayPlan(compiled)
-    return plan
-
-
 def _block_width(programs: int, rows: int, columns: int) -> int:
     """Programs per lockstep block for a ``rows x columns`` tile."""
     return max(1, min(programs, _BLOCK_WORDS // (rows * columns)))
@@ -781,15 +840,8 @@ def _word_dtype(deepest: int) -> np.dtype:
 def _schedule(
     compiled: Sequence[_CompiledWaveProgram], rows: int, columns: int
 ) -> "_Schedule":
-    """The :class:`_Schedule` of a program sequence on a tile shape,
-    memoised on its first program next to the sequence's replay plan."""
-    width = _block_width(len(compiled), rows, columns)
-    key = (tuple(compiled), width)
-    plans = compiled[0].sequence_plans
-    schedule = plans.get(key)
-    if schedule is None:
-        schedule = plans[key] = _Schedule(compiled, columns, width)
-    return schedule
+    """The :class:`_Schedule` of a program sequence on a tile shape."""
+    return _Schedule(compiled, columns, _block_width(len(compiled), rows, columns))
 
 
 class _Block:
@@ -1028,8 +1080,8 @@ class _Schedule:
         if last_seed:
             row_bytes += unsigned.itemsize * columns  # the composed true state
         self.outputs = len(outputs)
-        # Plus the chunk's int64 output matrix.
-        self.row_bytes = row_bytes + 8 * len(outputs)
+        # Plus the chunk's rows of the wave's output array.
+        self.row_bytes = row_bytes + unsigned.itemsize * len(outputs)
 
         shape = (-1, 1, 1)
         self.lut = table[:, _LUT].astype(np.uint8)
@@ -1083,12 +1135,12 @@ class _Schedule:
         return np.dtype(np.uint16 if exact else np.int64)
 
     def chunk(self, rows: int, total: int, plan: _ReplayPlan) -> int:
-        """Instances per chunk under :data:`_WAVE_CHUNK_BYTES` (block state
-        and temporaries per row at the word size, plus the chunk's int64
-        output sums, fire records and replay temporaries - about 11 int64
-        words per alignment event at the replay's peak)."""
+        """Instances per chunk under :data:`_WAVE_CHUNK_BYTES` (block state,
+        temporaries and output rows at the word size, plus the chunk's int64
+        fire records and replay temporaries - about 11 int64 words per
+        alignment event at the replay's peak)."""
         instance_bytes = rows * self.row_bytes + 8 * (
-            self.outputs + plan.slots * (_MAX_PASSES + 1) + 11 * len(plan.events)
+            plan.slots * (_MAX_PASSES + 1) + 11 * len(plan.events)
         )
         return max(1, min(total, _WAVE_CHUNK_BYTES // instance_bytes))
 
@@ -1173,9 +1225,90 @@ def _replay(
 
 #: One instance's wave outcome: counters, checksum, and its outputs stacked as
 #: one ``(total outputs, rows)`` int64 matrix in (program order, names sorted
-#: within each program) order - each compiled program's ``read_names`` - for
-#: bulk reduction.
+#: within each program) order - each compiled program's ``read_names``.
 WaveResult = Tuple[CAMStats, int, np.ndarray]
+
+
+class WaveBatch:
+    """One wave's results as arrays over its instances.
+
+    ``outputs`` holds every instance's outputs as one ``(outputs,
+    instances, rows)`` array in the tile's signed word dtype, outputs in
+    (program order, names sorted within each program) order - each
+    compiled program's ``read_names``.  The data-dependent counters
+    (``write_phases``, ``written_bits``, ``lockstep_shift_steps``) are int64
+    arrays over instances; the others are the same on every instance and
+    stored once in ``static`` (``track_shifts`` is ``lockstep x rows``).
+
+    ``len()`` is the instance count.  Indexing yields one instance's
+    :data:`WaveResult`, built on demand: the consumers of whole waves read
+    the arrays through :meth:`counters` and :meth:`checksum`.
+    """
+
+    __slots__ = (
+        "outputs", "rows", "static", "write_phases", "written_bits",
+        "lockstep_shift_steps",
+    )
+
+    def __init__(self, outputs: np.ndarray, rows: int, static: Dict[str, int]) -> None:
+        self.outputs = outputs
+        self.rows = rows
+        #: ``search_phases``, ``searched_bits``, ``read_bits``, ``loaded_bits``.
+        self.static = static
+        instances = outputs.shape[1]
+        self.write_phases = np.zeros(instances, dtype=np.int64)
+        self.written_bits = np.zeros(instances, dtype=np.int64)
+        self.lockstep_shift_steps = np.zeros(instances, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return self.outputs.shape[1]
+
+    def __getitem__(self, instance: int) -> WaveResult:
+        stacked = self.outputs[:, instance].astype(np.int64)
+        steps = int(self.lockstep_shift_steps[instance])
+        stats = CAMStats(
+            write_phases=int(self.write_phases[instance]),
+            written_bits=int(self.written_bits[instance]),
+            lockstep_shift_steps=steps,
+            track_shifts=steps * self.rows,
+            **self.static,
+        )
+        return stats, sum(stacked.sum(axis=1).tolist()), stacked
+
+    def __iter__(self) -> Iterator[WaveResult]:
+        return (self[instance] for instance in range(len(self)))
+
+    def counters(self) -> np.ndarray:
+        """``(instances, 8)`` int64 counters, columns in :data:`COUNTER_FIELDS`
+        order."""
+        values = dict(
+            self.static,
+            write_phases=self.write_phases,
+            written_bits=self.written_bits,
+            lockstep_shift_steps=self.lockstep_shift_steps,
+            track_shifts=self.lockstep_shift_steps * self.rows,
+        )
+        matrix = np.empty((len(self), len(COUNTER_FIELDS)), dtype=np.int64)
+        for column, name in enumerate(COUNTER_FIELDS):
+            matrix[:, column] = values[name]
+        return matrix
+
+    @property
+    def total_is_checksum(self) -> bool:
+        """Whether the int64 total of all outputs cannot wrap: ``(word bits -
+        1) + ceil(log2(rows x outputs x instances)) < 63``.  Then any int64
+        fold of the outputs sums to :meth:`checksum`."""
+        values = self.outputs.size
+        bits = 8 * self.outputs.dtype.itemsize
+        return bits - 1 + (values - 1).bit_length() < 63 if values else True
+
+    def checksum(self) -> int:
+        """The sum of every instance's checksum: the Python-int fold of each
+        output's int64 row sum."""
+        if self.total_is_checksum:
+            return int(self.outputs.sum(dtype=np.int64))
+        return sum(self.outputs.sum(axis=2, dtype=np.int64).ravel().tolist())
+
 
 #: Either input form accepted by :func:`execute_program_wave`.
 WaveInputs = Union[
@@ -1319,19 +1452,22 @@ def execute_program_wave(
     columns: int,
     technology: Optional[RTMTechnology] = None,
     carry_column: int = 0,
-) -> Optional[List[WaveResult]]:
+) -> Union[WaveBatch, List[WaveResult], None]:
     """Execute one tile's program sequence for many instances at once.
 
     Every instance models a fresh ``rows x columns`` AP running ``programs``
     back to back on its own input set (the exact contract of a pooled or
     fresh-worker AP executing one tile).  ``inputs_per_instance`` is either
     the one-dict-per-(instance, program) form or a host-staged
-    :class:`StagedWaveInputs` batch.  Returns one ``(CAMStats, checksum,
-    stacked outputs)`` tuple per instance - byte-identical to running each
-    instance alone on any registered backend - or ``None`` when the wave
-    cannot take the batched path (unsupported instruction shapes, geometry,
-    or malformed inputs), in which case the caller must fall back to
-    per-instance dispatch.
+    :class:`StagedWaveInputs` batch.  Returns one :class:`WaveBatch` of
+    every instance's outputs and counters - byte-identical to running each
+    instance alone on any registered backend - ``[]`` for an empty wave, or
+    ``None`` when the wave cannot take the batched path (unsupported
+    instruction shapes, geometry, or malformed inputs), in which case the
+    caller must fall back to per-instance dispatch.
+
+    A sequence :func:`wave_staging_plan` has seen is found with one lookup:
+    its lowering, schedule and replay plan were built at deploy.
     """
     technology = technology or DEFAULT_RTM_TECHNOLOGY
     domains = technology.domains_per_nanowire
@@ -1348,20 +1484,12 @@ def execute_program_wave(
         _decline("geometry", rows=rows, staged_rows=inputs_per_instance.rows)
         return None
 
-    compiled: List[_CompiledWaveProgram] = []
-    for program in programs:
-        if program.carry_column != carry_column:
-            _decline(
-                "carry-mismatch",
-                program=program.carry_column,
-                wave=carry_column,
-            )
+    sequence = None
+    if programs:
+        sequence = _sequence(programs, rows, columns, domains, carry_column, True)
+        if sequence is None:
             return None
-        lowered = compile_program_wave(program, columns, domains)
-        if lowered is None:
-            _decline("program-lowering", columns=columns, domains=domains)
-            return None
-        compiled.append(lowered)
+    compiled = sequence.compiled if sequence is not None else []
     if staged:
         if len(inputs_per_instance.values) != len(compiled):
             _decline("malformed-inputs", programs=len(compiled))
@@ -1372,18 +1500,25 @@ def execute_program_wave(
             inputs = _stage_dicts(compiled, inputs_per_instance, rows)
         if inputs is None:
             return None
-    if not compiled:
-        return [
-            (CAMStats(), 0, np.empty((0, rows), dtype=np.int64)) for _ in range(total)
-        ]
+    if sequence is None:
+        static = dict(search_phases=0, searched_bits=0, read_bits=0, loaded_bits=0)
+        return WaveBatch(np.empty((0, total, rows), dtype=np.int64), rows, static)
 
-    schedule = _schedule(compiled, rows, columns)
+    schedule, plan = sequence.schedule, sequence.plan
     operands = _block_operands(schedule, compiled, inputs, rows)
     if operands is None:
         return None
-    plan = _replay_plan(compiled)
     chunk = schedule.chunk(rows, total, plan)
-    results: List[WaveResult] = []
+    batch = WaveBatch(
+        np.empty((schedule.outputs, total, rows), dtype=schedule.signed),
+        rows,
+        {
+            "search_phases": plan.search_phases,
+            "searched_bits": plan.searched_per_row * rows,
+            "read_bits": plan.read_per_row * rows,
+            "loaded_bits": plan.loaded_per_row * rows,
+        },
+    )
     with telemetry.span(
         "backend.wave",
         category="device",
@@ -1394,13 +1529,17 @@ def execute_program_wave(
     ):
         for start in range(0, total, chunk):
             stop = min(start + chunk, total)
-            chunk_results = _execute_wave_chunk(
-                schedule, plan, operands, start, stop, total, rows
+            counters = _execute_wave_chunk(
+                schedule, plan, operands, start, stop, total, rows, batch.outputs
             )
-            if chunk_results is None:
+            if counters is None:
                 return _decline_inputs(compiled, inputs, rows)
-            results.extend(chunk_results)
-    return results
+            (
+                batch.write_phases[start:stop],
+                batch.written_bits[start:stop],
+                batch.lockstep_shift_steps[start:stop],
+            ) = counters
+    return batch
 
 
 def _load_block(
@@ -1557,21 +1696,21 @@ def _run_groups(
 
 
 def _read_block(
-    state: np.ndarray, schedule: "_Schedule", block: _Block, stacked: np.ndarray
+    state: np.ndarray, schedule: "_Schedule", block: _Block, outputs: np.ndarray
 ) -> None:
-    """One gather reads every output of the block into ``stacked``."""
+    """One gather reads every output of the block into its rows of
+    ``outputs``, a chunk's ``(outputs, instances, rows)`` view in the
+    schedule's signed word dtype."""
     first, last = block.outputs
     if first == last:
         return
-    signed = schedule.signed
-    words = state[schedule.r_idx[first:last].astype(np.intp)]
+    values = outputs[first:last]
+    words = values.view(schedule.word)
+    np.take(state, schedule.r_idx[first:last], axis=0, out=words, mode="clip")
     words <<= schedule.r_left[first:last].astype(schedule.word)
-    values = words.view(signed)
-    values >>= schedule.r_right[first:last].astype(signed)
+    values >>= schedule.r_right[first:last].astype(schedule.signed)
     if schedule.r_sign is not None:
-        values *= schedule.r_sign[first:last].astype(signed)
-    # Sign-extends each word's signed value into the int64 matrix.
-    stacked[:, first:last] = values.transpose(1, 0, 2)
+        values *= schedule.r_sign[first:last].astype(schedule.signed)
 
 
 def _compose(
@@ -1596,17 +1735,17 @@ def _execute_wave_chunk(
     stop: int,
     total: int,
     rows: int,
-) -> Optional[List[WaveResult]]:
-    """Run instances ``[start, stop)`` through every block of the schedule;
-    ``None`` when an operand value is out of range."""
+    outputs: np.ndarray,
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Run instances ``[start, stop)`` through every block of the schedule,
+    reading their outputs into ``outputs[:, start:stop]``; returns their
+    ``(write_phases, written_bits, lockstep_shift_steps)``, or ``None`` when
+    an operand value is out of range."""
     instances = stop - start
     columns = schedule.columns
     fires = np.zeros((_MAX_PASSES, plan.slots, instances), dtype=np.int64)
     counts = np.zeros((plan.slots, instances), dtype=np.int64)
-    # All instances' outputs in one matrix: slot order is (program order,
-    # names sorted within each program), so ``stacked[instance]`` is exactly
-    # the per-payload partial-sum matrix the inference reduction consumes.
-    stacked = np.empty((instances, schedule.outputs, rows), dtype=np.int64)
+    chunk_outputs = outputs[:, start:stop]
     truth: Optional[np.ndarray] = None
     count_dtype = schedule.count_dtype(rows)
     for block, block_operands in zip(schedule.blocks, operands):
@@ -1625,39 +1764,9 @@ def _execute_wave_chunk(
             ):
                 return None
         _run_groups(state, schedule, block, fires, counts, count_dtype)
-        _read_block(state, schedule, block, stacked)
+        _read_block(state, schedule, block, chunk_outputs)
         if block.tracks:
             truth = _compose(
                 state, schedule.defined[block.start : block.stop], columns
             )
-
-    write_phases, written_bits, lockstep = _replay(plan, fires, counts, rows)
-    search_phases = plan.search_phases
-    searched_bits = plan.searched_per_row * rows
-    read_bits = plan.read_per_row * rows
-    loaded_bits = plan.loaded_per_row * rows
-    # int64 addition is associative modulo 2**64, so the batched row sums
-    # equal each instance's own ``values.sum()`` bit for bit; the checksum
-    # folds them as Python ints, exactly like a per-instance run (one
-    # instance at a time: a list of every instance's sums would hold a
-    # Python int per output and instance, outside the chunk's budget).
-    totals = stacked.sum(axis=2)
-    return [
-        (
-            CAMStats(
-                search_phases=search_phases,
-                searched_bits=searched_bits,
-                write_phases=phases,
-                written_bits=bits,
-                lockstep_shift_steps=steps,
-                track_shifts=steps * rows,
-                read_bits=read_bits,
-                loaded_bits=loaded_bits,
-            ),
-            sum(totals[instance].tolist()),
-            stacked[instance],
-        )
-        for instance, (phases, bits, steps) in enumerate(
-            zip(write_phases.tolist(), written_bits.tolist(), lockstep.tolist())
-        )
-    ]
+    return _replay(plan, fires, counts, rows)

@@ -446,35 +446,40 @@ class Accelerator:
             wall_time_s=finished - started,
         )
 
-    def account_tile_dispatch(self, tile: "TileProgram") -> bool:
-        """Account one tile-program dispatch on the residency ledger.
+    def account_tile_dispatch(self, tile: "TileProgram", dispatches: int = 1) -> bool:
+        """Account ``dispatches`` dispatches of one tile program on the
+        residency ledger.
 
-        Returns ``True`` for a *warm* dispatch - the tile's weights are
+        Returns ``True`` for *warm* dispatches - the tile's weights are
         resident on its pinned AP, so only activations move - and ``False``
-        for a *cold* one, which charges a lease plus a CAM reprogram (the
-        implicit cost every dispatch paid before weight-resident placement
-        existed).  Called once per dispatched tile program by both the
-        synthetic scheduler and the inference engine, for every executor -
-        pool workers build their APs in other processes, so accounting
-        happens here, at dispatch time, not inside :meth:`lease_ap`.
+        for *cold* ones, each of which charges a lease plus a CAM reprogram
+        (the implicit cost every dispatch paid before weight-resident
+        placement existed) and emits one ``accelerator.cold_dispatch``
+        instant.  Called once per tile per layer run (with one dispatch per
+        image) by both the synthetic schedulers and the inference engine,
+        for every executor - pool workers build their APs in other
+        processes, so accounting happens here, at dispatch time, not inside
+        :meth:`lease_ap`.
         """
         with self._ledger_lock:
             pin = self._pins.get(tuple(tile.address))
             if pin is not None and tile_key(tile) in pin.tile_keys:
-                self._residency.warm_hits += 1
+                self._residency.warm_hits += dispatches
                 warm = True
             else:
-                self._residency.lease_events += 1
-                self._residency.reprogram_events += 1
-                self._residency.reprogram_bits += tile_weight_bits(tile)
+                self._residency.lease_events += dispatches
+                self._residency.reprogram_events += dispatches
+                # Whole cell counts: the float product is exact.
+                self._residency.reprogram_bits += dispatches * tile_weight_bits(tile)
                 warm = False
         if not warm:
-            telemetry.instant(
-                "accelerator.cold_dispatch",
-                category="device",
-                ap=str(tuple(tile.address)),
-                layer=tile.layer_index,
-            )
+            for _ in range(dispatches):
+                telemetry.instant(
+                    "accelerator.cold_dispatch",
+                    category="device",
+                    ap=str(tuple(tile.address)),
+                    layer=tile.layer_index,
+                )
         return warm
 
     def is_pinned(self, address: APAddress) -> bool:

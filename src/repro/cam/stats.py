@@ -8,7 +8,7 @@ analytical performance model used for full networks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.rtm.timing import RTMTechnology
 
@@ -76,3 +76,9 @@ class CAMStats:
     def total_phases(self) -> int:
         """Search plus write phases (the AP 'cycles' of the paper's Table I)."""
         return self.search_phases + self.write_phases
+
+
+#: ``CAMStats`` field names in order: the last axis of a counter matrix
+#: (one int64 row per tile or instance, see
+#: :func:`repro.runtime.scheduler.aggregate_layer_run`).
+COUNTER_FIELDS = tuple(counter.name for counter in fields(CAMStats))

@@ -13,20 +13,26 @@ Every layer runs one way: layer-synchronously, the word-parallel search of
 the paper's AP.  The batch's layer input is quantized and lowered once; each
 group of tiles sharing compiled programs stages its ``(image, tile)``
 instances as views of that one tensor and executes them as one
-:func:`~repro.ap.backends.batched.execute_program_wave` call.  Instances no
-wave takes - backends without wave support (``reference``, ``vectorized``),
-codes wider than the staged load width, a declined wave - go to the
-executor in one order-preserving
+:func:`~repro.ap.backends.batched.execute_program_wave` call.  The wave
+returns one :class:`~repro.ap.backends.batched.WaveBatch` for the whole
+group, which the layer epilogue reduces as a whole: the outputs fold over
+the program axis and add into the layer accumulator once per tile position,
+the counters fill an ``(images, tiles, 8)`` matrix for
+:func:`~repro.runtime.scheduler.aggregate_layer_run`, and residency is
+accounted once per tile.  Instances no wave takes - backends without wave
+support (``reference``, ``vectorized``), codes wider than the staged load
+width, a declined wave - go to the executor in one order-preserving
 :meth:`~repro.runtime.executors.Executor.map_layer` call per layer, their
-operands indexed out of the same staged views.  Both routes produce the same
-outputs, checksums and :class:`~repro.cam.stats.CAMStats`, so every backend
-and executor is byte-identical.
+operands indexed out of the same staged views, and reduce one by one.  Both
+routes produce the same outputs, checksums and
+:class:`~repro.cam.stats.CAMStats`, so every backend and executor is
+byte-identical.
 
 A run is request-scoped: its activation store and per-layer counters live in
 one :class:`_Request` bound to the calling thread, so overlapping requests
 (:meth:`repro.session.Session.submit`) share one engine and one patched
-model.  Per-image quantization and reductions rebuilt in (image, tile) order
-make batched, micro-batched and one-by-one execution byte-identical.
+model.  Per-image quantization and exact integer reductions make batched,
+micro-batched and one-by-one execution byte-identical.
 """
 
 from __future__ import annotations
@@ -44,12 +50,13 @@ from repro import telemetry
 from repro.ap.backends import resolve_backend
 from repro.ap.backends.batched import (
     StagedWaveInputs,
+    WaveBatch,
     execute_program_wave,
     wave_staging_plan,
 )
 from repro.ap.core import AssociativeProcessor
 from repro.arch.accelerator import Accelerator
-from repro.cam.stats import CAMStats
+from repro.cam.stats import COUNTER_FIELDS, CAMStats
 from repro.core.compiler import CompilerConfig, compile_model
 from repro.errors import (
     CapacityError,
@@ -79,6 +86,7 @@ from repro.runtime.scheduler import (
     PlanExecution,
     aggregate_layer_run,
     charge_adder_tree_movement,
+    counter_rows,
 )
 from repro.utils.bitops import max_signed_value, min_signed_value
 
@@ -96,22 +104,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InferenceTileResult:
-    """Outcome of one (image, tile program) work item."""
+    """Outcome of one (image, tile program) work item of the per-instance
+    path."""
 
     image_index: int
     address: tuple
     stats: CAMStats
     #: One ``{output name: integer partial-sum vector}`` dict per slice
-    #: program of the tile (real data, unlike the synthetic-path checksums);
-    #: empty when ``stacked_outputs`` carries them.
+    #: program of the tile (real data, unlike the synthetic-path checksums).
     outputs: Tuple[Dict[str, np.ndarray], ...]
     checksum: int
     duration_s: float
-    #: The wave's form of ``outputs``: all partial-sum vectors stacked as one
-    #: ``(total outputs, rows)`` matrix in (program order, sorted-name)
-    #: order, which the layer reduction adds in one indexed operation per
-    #: instance instead of per-name loops.
-    stacked_outputs: Optional[np.ndarray] = None
 
 
 def _inference_tile_worker(payload, ap=None) -> InferenceTileResult:
@@ -155,6 +158,48 @@ def _inference_tile_worker(payload, ap=None) -> InferenceTileResult:
     )
 
 
+class _Fold:
+    """Static reduction of a tile's outputs onto the layer's output channels.
+
+    Outputs come in (program order, names sorted within each program) order.
+    When every program emits the same channels (a *uniform* tile: one
+    input-channel slice per program), summing the program axis of a
+    ``(programs, channels, ...)`` reshape folds them.  Otherwise a stable
+    permutation makes each channel's outputs one run, and
+    ``np.add.reduceat`` sums the runs.  ``targets`` indexes the accumulator
+    channel of each folded row (a slice when they are contiguous).
+    """
+
+    __slots__ = ("programs", "order", "starts", "targets")
+
+    def __init__(self, names_seq: List[Tuple[str, ...]], channels: np.ndarray) -> None:
+        self.programs = len(names_seq)
+        self.order: Optional[np.ndarray] = None
+        self.starts: Optional[np.ndarray] = None
+        if len(set(names_seq)) <= 1:
+            targets = channels[: len(names_seq[0])]
+        else:
+            self.order = np.argsort(channels, kind="stable")
+            ordered = channels[self.order]
+            self.starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+            targets = ordered[self.starts]
+        contiguous = (np.diff(targets) == 1).all()
+        self.targets = (
+            slice(int(targets[0]), int(targets[-1]) + 1) if contiguous else targets
+        )
+
+    def __call__(self, outputs: np.ndarray) -> np.ndarray:
+        """Fold ``(outputs, instances, rows)`` partial sums to ``(targets,
+        instances, rows)`` exact int64 sums."""
+        if self.order is None:
+            return outputs.reshape(self.programs, -1, *outputs.shape[1:]).sum(
+                axis=0, dtype=np.int64
+            )
+        return np.add.reduceat(
+            outputs[self.order], self.starts, axis=0, dtype=np.int64
+        )
+
+
 class _TileGroup:
     """One layer's tiles that share compiled programs, rows and channels.
 
@@ -163,6 +208,12 @@ class _TileGroup:
     tile-minor, so instance ``i`` is image ``i // tiles`` on tile
     ``tile_indices[i % tiles]``.  ``wave`` says whether the programs lower
     to the batched wave (always ``False`` on backends without one).
+
+    The static reduction layout: each program emits its outputs in
+    sorted-name order (``names_seq``), so the output channel of every
+    partial-sum row (``channels``) is known before execution.  ``fold``
+    reduces a wave's outputs by that layout (``None`` when the programs emit
+    none).
     """
 
     __slots__ = (
@@ -173,6 +224,9 @@ class _TileGroup:
         "bindings",
         "rows_idx",
         "wave",
+        "names_seq",
+        "channels",
+        "fold",
     )
 
     def __init__(self, tile, rows: int, bindings, wave: bool) -> None:
@@ -180,6 +234,14 @@ class _TileGroup:
         self.rows = rows
         self.bindings = bindings
         self.wave = wave
+        self.names_seq = [
+            tuple(sorted(program.output_columns)) for program in tile.programs
+        ]
+        self.channels = np.array(
+            [int(name[1:]) for names in self.names_seq for name in names],
+            dtype=np.intp,
+        )
+        self.fold = _Fold(self.names_seq, self.channels) if self.channels.size else None
         self.tile_indices: List[int] = []
         self.starts: List[int] = []
         #: Lazily built ``(tiles, rows)`` row-gather index (multi-tile groups).
@@ -189,23 +251,22 @@ class _TileGroup:
 class _NodePlan:
     """Per-layer host dataflow plan, built once per engine.
 
-    ``tile_specs`` is the image-invariant parse of every tile (row slice and
-    static reduction layout); ``groups`` stages those tiles.
+    ``tiles`` are the layer's tile programs; ``groups`` stages them.
     ``min_width`` is the narrowest wave load width - codes outside its signed
     range skip the wave, and the per-instance backends raise the proper
     range errors for them.
     """
 
-    __slots__ = ("tile_specs", "groups", "min_width")
+    __slots__ = ("tiles", "groups", "min_width")
 
-    def __init__(self, tile_specs, groups, min_width) -> None:
-        self.tile_specs = tile_specs
+    def __init__(self, tiles, groups, min_width) -> None:
+        self.tiles = tiles
         self.groups = groups
         self.min_width = min_width
 
 
 def _plan_node(node, columns: int, technology, wave_capable: bool) -> _NodePlan:
-    """Parse one layer's tiles and group them for staging.
+    """Group one layer's tiles for staging and plan their reductions.
 
     On wave-capable backends :func:`wave_staging_plan` - called here, at
     engine construction - also pre-lowers every program to its wave form,
@@ -214,28 +275,12 @@ def _plan_node(node, columns: int, technology, wave_capable: bool) -> _NodePlan:
     is counted here too.
     """
     rows_per_ap = node.mapping.rows_per_ap
-    tile_specs = []
     groups: List[_TileGroup] = []
     by_key: Dict[tuple, _TileGroup] = {}
     widths_seen: set = set()
     for index, tile in enumerate(node.planned.tiles):
         # Fills the tile's cached add/sub count before the first request.
         tile.num_arithmetic_ops
-        start = tile.row_tile * rows_per_ap
-        row_slice = slice(start, start + tile.rows)
-        # Static reduction layout: each program emits its outputs in
-        # sorted-name order, so the output channels per instance are known
-        # before execution and the partial sums can be added in bulk.
-        names_seq = [
-            tuple(sorted(program.output_columns)) for program in tile.programs
-        ]
-        channels = np.array(
-            [int(name[1:]) for names in names_seq for name in names],
-            dtype=np.intp,
-        )
-        uniform = len(set(names_seq)) <= 1
-        tile_specs.append((tile, row_slice, names_seq, channels, uniform))
-
         key = (
             tuple(id(program) for program in tile.programs),
             tile.rows,
@@ -261,9 +306,9 @@ def _plan_node(node, columns: int, technology, wave_capable: bool) -> _NodePlan:
             )
             groups.append(group)
         group.tile_indices.append(index)
-        group.starts.append(start)
+        group.starts.append(tile.row_tile * rows_per_ap)
     min_width = min(widths_seen) if widths_seen else None
-    return _NodePlan(tile_specs, groups, min_width)
+    return _NodePlan(node.planned.tiles, groups, min_width)
 
 
 def _stage_group(
@@ -593,14 +638,20 @@ class BatchedInference:
     def _execute_node(
         self, request: _Request, node: DataflowNode, codes: np.ndarray
     ) -> np.ndarray:
-        """Run every (image, tile) of one layer and reduce the partial sums."""
+        """Run every (image, tile) of one layer and reduce the partial sums.
+
+        Each group's wave comes back as one :class:`WaveBatch`; its outputs
+        fold and add into the layer accumulator once per tile position, for
+        all images at once, and its counters fill the layer's ``(images,
+        tiles, 8)`` counter matrix.  Instances no wave takes reduce one by
+        one, with per-instance adds.
+        """
         planned = node.planned
         mapping = node.mapping
         technology = self.accelerator.config.technology
         num_images = codes.shape[0]
         plan = self._node_plans[node.name]
-        tile_specs = plan.tile_specs
-        num_tiles = len(tile_specs)
+        num_tiles = len(plan.tiles)
 
         lowered = lower_batch_rows(codes, node.kernel_size, node.stride, node.padding)
         with telemetry.span(
@@ -610,11 +661,10 @@ class BatchedInference:
                 _stage_group(group, lowered, num_images) for group in plan.groups
             ]
         waves = self._wave_capable and _codes_fit(codes, plan.min_width)
-        results: List[Optional[InferenceTileResult]] = [None] * (
-            num_images * num_tiles
-        )
+        batches: List[Tuple[_TileGroup, WaveBatch]] = []
         payloads = []
-        slots: List[int] = []
+        #: ``(image, tile position, group)`` of each payload.
+        owners: List[Tuple[int, int, _TileGroup]] = []
         started = time.perf_counter()
         with telemetry.span(
             "device.layer",
@@ -626,106 +676,99 @@ class BatchedInference:
             backend=str(self.backend),
         ):
             for group, staged in zip(plan.groups, staged_groups):
-                group_start = time.perf_counter()
-                wave = None
+                batch = None
                 if waves and group.wave:
-                    wave = execute_program_wave(
+                    batch = execute_program_wave(
                         group.tile.programs,
                         staged,
                         rows=group.rows,
                         columns=self._columns,
                         technology=technology,
                     )
-                # The wave executes all instances at once; attribute its
-                # wall-clock evenly (duration_s is informational only).
-                duration = (time.perf_counter() - group_start) / max(
-                    staged.instances, 1
-                )
+                if batch is not None:
+                    batches.append((group, batch))
+                    continue
                 tiles = len(group.tile_indices)
                 for instance in range(staged.instances):
                     image, position = divmod(instance, tiles)
-                    tile_index = group.tile_indices[position]
-                    slot = image * num_tiles + tile_index
-                    tile = tile_specs[tile_index][0]
-                    if wave is None:
-                        inputs_list = [
-                            {name: batch[instance] for name, batch in operands.items()}
-                            for operands in staged.values
-                        ]
-                        payloads.append(
-                            (
-                                tile,
-                                image,
-                                self._columns,
-                                self.backend,
-                                technology,
-                                inputs_list,
-                            )
+                    tile = plan.tiles[group.tile_indices[position]]
+                    inputs_list = [
+                        {name: values[instance] for name, values in operands.items()}
+                        for operands in staged.values
+                    ]
+                    payloads.append(
+                        (
+                            tile,
+                            image,
+                            self._columns,
+                            self.backend,
+                            technology,
+                            inputs_list,
                         )
-                        slots.append(slot)
-                        continue
-                    stats, checksum, stacked = wave[instance]
-                    results[slot] = InferenceTileResult(
-                        image_index=image,
-                        address=tuple(tile.address),
-                        stats=stats,
-                        outputs=(),
-                        checksum=checksum,
-                        duration_s=duration,
-                        stacked_outputs=stacked,
                     )
+                    owners.append((image, position, group))
+            dispatched: Sequence[InferenceTileResult] = ()
             if payloads:
                 with self._lease_lock:
                     lease = make_lease(self.accelerator, self._columns, self.backend)
                     dispatched = self.executor.map_layer(
                         _inference_tile_worker, payloads, lease=lease
                     )
-                for slot, result in zip(slots, dispatched):
-                    results[slot] = result
         wall = time.perf_counter() - started
-        # Residency accounting, once per (image, tile) dispatch: warm on a
-        # deployed (pinned) plan, cold lease + reprogram otherwise.
-        for _ in range(num_images):
-            for spec in tile_specs:
-                self.accelerator.account_tile_dispatch(spec[0])
+        # Residency accounting, one dispatch per image of every tile: warm
+        # on a deployed (pinned) plan, cold lease + reprogram otherwise.
+        for tile in plan.tiles:
+            self.accelerator.account_tile_dispatch(tile, num_images)
 
         # Order-independent reduction of the real outputs: exact integer
         # partial sums accumulated per (image, output channel, position).
+        # int64 addition commutes exactly, so folding the program axis first
+        # and adding whole groups matches per-value adds.
         accumulator = np.zeros(
             (num_images, mapping.out_channels, mapping.output_positions), np.int64
         )
-        index = 0
-        for image in range(num_images):
-            for _, row_slice, names_seq, channels, uniform in tile_specs:
-                result = results[index]
-                index += 1
-                if channels.size == 0:
-                    continue
-                stacked = result.stacked_outputs
-                if stacked is None:
-                    stacked = np.stack(
-                        [
-                            outputs[name]
-                            for outputs, names in zip(result.outputs, names_seq)
-                            for name in names
-                        ]
-                    )
-                target = accumulator[image, :, row_slice]
-                if uniform:
-                    # All programs of the tile emit the same output channels
-                    # (one input-channel slice each): fold the program axis
-                    # first, then one indexed add per instance.  int64
-                    # addition commutes exactly, so the result matches
-                    # per-value adds.
-                    if len(names_seq) > 1:
-                        summed = stacked.reshape(
-                            len(names_seq), -1, stacked.shape[-1]
-                        ).sum(axis=0)
-                    else:
-                        summed = stacked
-                    target[channels[: len(names_seq[0])]] += summed
-                else:
-                    np.add.at(target, channels, stacked)
+        counters = np.zeros((num_images, num_tiles, len(COUNTER_FIELDS)), np.int64)
+        checksum = 0
+        for group, batch in batches:
+            tiles = len(group.tile_indices)
+            counters[:, group.tile_indices] = batch.counters().reshape(
+                num_images, tiles, -1
+            )
+            if group.fold is None:
+                continue
+            folded = group.fold(batch.outputs)
+            checksum += (
+                int(folded.sum()) if batch.total_is_checksum else batch.checksum()
+            )
+            folded = folded.reshape(-1, num_images, tiles, group.rows)
+            for position, start in enumerate(group.starts):
+                window = slice(start, start + group.rows)
+                accumulator[:, group.fold.targets, window] += folded[
+                    :, :, position
+                ].transpose(1, 0, 2)
+        for (image, position, group), result in zip(owners, dispatched):
+            counters[image, group.tile_indices[position]] = counter_rows(
+                [result.stats]
+            )
+            checksum += result.checksum
+            if group.fold is None:
+                continue
+            names_seq, channels = group.names_seq, group.channels
+            stacked = np.stack(
+                [
+                    outputs[name]
+                    for outputs, names in zip(result.outputs, names_seq)
+                    for name in names
+                ]
+            )
+            start = group.starts[position]
+            target = accumulator[image, :, start : start + group.rows]
+            if group.fold.order is None:
+                # Uniform: fold the program axis, then one indexed add.
+                summed = stacked.reshape(len(names_seq), -1, group.rows).sum(axis=0)
+                target[channels[: len(names_seq[0])]] += summed
+            else:
+                np.add.at(target, channels, stacked)
 
         movement = charge_adder_tree_movement(
             self.accelerator, planned, repeats=num_images
@@ -739,20 +782,17 @@ class BatchedInference:
                 dst=planned.tiles[0].address if planned.tiles else None,
             )
         )
-        # Counter aggregation shared with the synthetic Scheduler; each image
-        # is its own latency stream (images sharing the pool serialise, tiles
-        # of one round within an image overlap).
+        # Counter aggregation shared with the synthetic schedulers; each
+        # image is its own latency stream (images sharing the pool
+        # serialise, tiles of one round within an image overlap).
         request.record(
             aggregate_layer_run(
                 planned,
-                [
-                    (tile_specs[i % num_tiles][0], result.stats, i // num_tiles)
-                    for i, result in enumerate(results)
-                ],
+                counters,
                 self.accelerator,
                 movement,
                 repeats=num_images,
-                checksum=sum(result.checksum for result in results),
+                checksum=checksum,
                 wall_time_s=wall,
             )
         )

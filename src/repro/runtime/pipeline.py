@@ -51,6 +51,7 @@ from repro.runtime.scheduler import (
     Scheduler,
     aggregate_layer_run,
     charge_adder_tree_movement,
+    counter_rows,
 )
 
 
@@ -283,10 +284,7 @@ class PipelineScheduler(Scheduler):
             execution.layers.append(
                 aggregate_layer_run(
                     layer,
-                    [
-                        (tile, result.stats, 0)
-                        for tile, result in zip(layer.tiles, tile_results)
-                    ],
+                    counter_rows([result.stats for result in tile_results])[None],
                     self.accelerator,
                     movement,
                     checksum=sum(result.checksum for result in tile_results),

@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro import telemetry
-from repro.cam.stats import CAMStats
+from repro.cam.stats import COUNTER_FIELDS, CAMStats
 from repro.errors import ConfigurationError
 from repro.perf.breakdown import EnergyBreakdown, LatencyBreakdown
 from repro.runtime.executors import ExecutorSpec, resolve_executor
@@ -37,6 +39,12 @@ from repro.runtime.plan import ExecutionPlan, PlannedLayer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.arch.accelerator import Accelerator
+
+#: Counters priced in time: search phases, write phases, shift steps.
+_TIMED = [
+    COUNTER_FIELDS.index(name)
+    for name in ("search_phases", "write_phases", "lockstep_shift_steps")
+]
 
 
 @dataclass
@@ -158,9 +166,18 @@ class PlanExecution:
         raise ConfigurationError(f"no layer named {name!r} in plan execution")
 
 
+def counter_rows(stats: Sequence[CAMStats]) -> np.ndarray:
+    """``(len(stats), 8)`` int64 counters, one row per :class:`CAMStats` in
+    field order (the layout :func:`aggregate_layer_run` takes)."""
+    return np.array(
+        [[getattr(counters, name) for name in COUNTER_FIELDS] for counters in stats],
+        dtype=np.int64,
+    ).reshape(len(stats), len(COUNTER_FIELDS))
+
+
 def aggregate_layer_run(
     layer: PlannedLayer,
-    tile_stats,
+    counters: np.ndarray,
     accelerator: "Accelerator",
     movement,
     repeats: int = 1,
@@ -170,18 +187,21 @@ def aggregate_layer_run(
     """Reduce executed tiles' counters into one :class:`LayerRunResult`.
 
     The single accounting epilogue shared by the synthetic-input
-    :class:`Scheduler` and the real-activation inference engine
-    (:mod:`repro.inference.engine`), so energy/latency formulas cannot drift
-    between ``repro run`` and ``repro infer``.
+    :class:`Scheduler` and :class:`~repro.runtime.pipeline.PipelineScheduler`
+    and the real-activation inference engine (:mod:`repro.inference.engine`),
+    so energy/latency formulas cannot drift between ``repro run`` and
+    ``repro infer``.
 
     Args:
         layer: the planned layer the tiles belong to.
-        tile_stats: iterable of ``(tile, stats, stream)`` triples - one per
-            executed tile, where ``stream`` keys the latency overlap group
-            (tiles of the same stream and round overlap; the synthetic path
-            uses a single stream, batched inference one stream per image).
-        accelerator: ledgers owner; every tile's counters are charged to its
-            ``(bank, tile)``.
+        counters: ``(streams, tiles, 8)`` int64 counters of every executed
+            tile program, in :class:`CAMStats` field order (see
+            :func:`counter_rows`), tiles in ``layer.tiles`` order.  A stream
+            keys the latency overlap group: tiles of the same stream and
+            round overlap.  The synthetic path uses a single stream, batched
+            inference one stream per image.
+        accelerator: ledgers owner; every tile's counters, summed over the
+            streams, are charged to its ``(bank, tile)`` once.
         movement: :class:`~repro.arch.interconnect.TransferCost` already
             charged for the layer (adder-tree merges, activation hand-off).
         repeats: how many times the layer's static instruction stream ran
@@ -191,20 +211,34 @@ def aggregate_layer_run(
         wall_time_s: host wall-clock spent executing the tiles.
     """
     technology = accelerator.config.technology
-    stats = CAMStats()
-    round_latency: Dict[tuple, float] = {}
-    executed = 0
-    for tile, tile_counters, stream in tile_stats:
-        executed += 1
-        stats = stats.merge(tile_counters)
-        accelerator.record_tile_stats(tile.address, tile_counters)
-        key = (stream, tile.round_index)
-        tile_latency = tile_counters.latency_ns(technology)
-        round_latency[key] = max(round_latency.get(key, 0.0), tile_latency)
+    counters = np.asarray(counters, dtype=np.int64)
+    streams, tiles = counters.shape[:2]
+    per_tile = np.add.reduce(counters, axis=0)
+    if streams:
+        for tile, row in zip(layer.tiles, per_tile.tolist()):
+            accelerator.record_tile_stats(tile.address, CAMStats(*row))
+    stats = CAMStats(*np.add.reduce(per_tile, axis=0).tolist())
 
     # Per-layer latency: concurrent tiles of one (stream, round) overlap
-    # (their maximum); sequential rounds and streams add up.
-    dfg_ns = sum(round_latency.values())
+    # (their maximum); sequential rounds and streams add up, summed in the
+    # order a per-tile loop meets them - stream-major, rounds in order of
+    # first appearance - so the float total is the same bit for bit.
+    times = counters[..., _TIMED] * np.array(
+        [
+            technology.search_latency_ns,
+            technology.write_latency_ns,
+            technology.shift_latency_ns,
+        ]
+    )
+    latency_ns = times[..., 0] + times[..., 1]
+    np.maximum(latency_ns, times[..., 2], out=latency_ns)
+    rounds = [tile.round_index for tile in layer.tiles]
+    order = list(dict.fromkeys(rounds))
+    maxima = np.empty((streams, len(order)))
+    for column, round_index in enumerate(order):
+        chosen = [tile for tile, r in enumerate(rounds) if r == round_index]
+        maxima[:, column] = np.maximum.reduce(latency_ns[:, chosen], axis=1)
+    dfg_ns = sum(maxima.ravel().tolist())
 
     # Controller / instruction-cache overhead per issued instruction.
     peripherals_fj = (
@@ -225,7 +259,7 @@ def aggregate_layer_run(
         energy=energy,
         latency=latency,
         total_ops=repeats * sum(tile.num_arithmetic_ops for tile in layer.tiles),
-        tiles_executed=executed,
+        tiles_executed=streams * tiles,
         aps_used=layer.aps_used,
         rounds=layer.num_rounds,
         checksum=checksum,
@@ -335,7 +369,7 @@ class Scheduler:
         movement = charge_adder_tree_movement(self.accelerator, layer)
         return aggregate_layer_run(
             layer,
-            [(tile, result.stats, 0) for tile, result in zip(layer.tiles, results)],
+            counter_rows([result.stats for result in results])[None],
             self.accelerator,
             movement,
             checksum=sum(result.checksum for result in results),

@@ -810,7 +810,7 @@ class TestLockstepWaves:
         compiled = lowered(programs, columns)
         schedule = batched_module._schedule(compiled, rows, columns)
         assert len(schedule.blocks) > 1
-        plan = batched_module._replay_plan(compiled)
+        plan = batched_module._ReplayPlan(compiled)
         assert schedule.chunk(rows, len(inputs), plan) == 1
         for left, right in zip(whole, split):
             assert left[0] == right[0]
@@ -1545,8 +1545,11 @@ class TestStagedWaveExecution:
         assert wave_staging_plan(programs, columns, 6) == [{"a": 7, "b": 7}]
         # The tile's lockstep schedule is built here, at deploy, not by the
         # first request.
-        plans = lowered(programs, columns)[0].sequence_plans.values()
-        assert any(isinstance(plan, batched_module._Schedule) for plan in plans)
+        sequences = programs[0].__dict__["_wave_sequences"].values()
+        assert any(
+            isinstance(sequence.schedule, batched_module._Schedule)
+            for sequence in sequences
+        )
 
     def test_staging_plan_declines_bad_geometry(self):
         programs, _ = add_tile(7)

@@ -93,7 +93,7 @@ def groups_per_request(monkeypatch, model, input_shape):
             for program in programs
         ]
         schedule = batched._schedule(compiled, rows, columns)
-        chunk = schedule.chunk(rows, instances, batched._replay_plan(compiled))
+        chunk = schedule.chunk(rows, instances, batched._ReplayPlan(compiled))
         chunks = -(-instances // chunk)
         levels = [record_levels(program) for program in programs]
         recounted += chunks * sum(

@@ -136,7 +136,7 @@ def _chunk_peak(compiled, rows, columns, rng):
     """The ``tracemalloc`` peak of a wave's first chunk, one instance more
     than a chunk holds, and the chunk's instance count."""
     schedule = batched._schedule(compiled, rows, columns)
-    replay = batched._replay_plan(compiled)
+    replay = batched._ReplayPlan(compiled)
     chunk = schedule.chunk(rows, 1 << 30, replay)
     total = chunk + 1
     staged = batched.StagedWaveInputs(
@@ -159,13 +159,15 @@ def _chunk_peak(compiled, rows, columns, rng):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        results = batched._execute_wave_chunk(
-            schedule, replay, operands, 0, chunk, total, rows
+        outputs = np.empty((schedule.outputs, total, rows), dtype=schedule.signed)
+        counters = batched._execute_wave_chunk(
+            schedule, replay, operands, 0, chunk, total, rows, outputs
         )
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert results is not None and len(results) == chunk
+    assert counters is not None
+    assert all(len(counter) == chunk for counter in counters)
     return peak, chunk
 
 
