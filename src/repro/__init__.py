@@ -95,13 +95,10 @@ from repro.perf.pipeline import (
 from repro.rtm.timing import RTMTechnology
 from repro.runtime import (
     ExecutionPlan,
-    InFlightTracker,
-    PipelineScheduler,
     PlanExecution,
     Scheduler,
     available_executors,
     build_execution_plan,
-    execute_model,
     resident_aps_required,
 )
 from repro.serving import (
@@ -142,15 +139,12 @@ __all__ = [
     "ExecutionPlan",
     "PlanExecution",
     "Scheduler",
-    "PipelineScheduler",
-    "InFlightTracker",
     "PendingRequest",
     "PipelineCost",
     "pipeline_cost",
     "pipeline_cost_from_execution",
     "available_executors",
     "build_execution_plan",
-    "execute_model",
     "resident_aps_required",
     "ActivationStore",
     "BatchedInference",

@@ -7,8 +7,8 @@ Three checkers, one diagnostic vocabulary (stable ``RPA*`` codes, see
   :class:`~repro.ap.isa.APProgram` / runtime tile programs against the CAM
   geometry (``RPA1xx``);
 * :mod:`repro.analysis.plan` - whole-plan verification of
-  :class:`~repro.runtime.plan.ExecutionPlan`, including the pipeline
-  dependency DAG the runtime would dispatch (``RPA2xx``);
+  :class:`~repro.runtime.plan.ExecutionPlan`: addresses, resident AP groups,
+  tile coordinates and CAM geometry (``RPA2xx``);
 * :mod:`repro.analysis.lint_locks` - AST lint of the source tree for lock
   and executor discipline (``RPA3xx``).
 
@@ -25,11 +25,7 @@ from repro.analysis.diagnostics import (
     VerificationReport,
 )
 from repro.analysis.lint_locks import CleanupIndex, lint_file, lint_source, lint_tree
-from repro.analysis.plan import (
-    build_pipeline_tasks,
-    verify_execution_plan,
-    verify_task_graph,
-)
+from repro.analysis.plan import verify_execution_plan
 from repro.analysis.program import (
     verify_all_luts,
     verify_lut,
@@ -47,9 +43,7 @@ __all__ = [
     "lint_file",
     "lint_source",
     "lint_tree",
-    "build_pipeline_tasks",
     "verify_execution_plan",
-    "verify_task_graph",
     "verify_all_luts",
     "verify_lut",
     "verify_program",

@@ -23,7 +23,8 @@ from repro.errors import AnalysisError
 SEVERITY_WARNING = "warning"
 SEVERITY_ERROR = "error"
 
-#: The stable error-code table (append-only; documented in the README).
+#: The stable error-code table (documented in the README).  Codes are never
+#: renumbered or reused: a retired code stays unassigned.
 CODES: Dict[str, str] = {
     # Program verifier (RPA1xx): one APProgram against the CAM geometry.
     "RPA101": "column index outside the CAM column range",
@@ -36,8 +37,6 @@ CODES: Dict[str, str] = {
     # Plan verifier (RPA2xx): one ExecutionPlan against an accelerator.
     "RPA201": "AP address outside the accelerator hierarchy",
     "RPA202": "resident layers' AP groups overlap",
-    "RPA203": "pipeline dependency graph contains a cycle",
-    "RPA204": "work item unreachable from the dependency sources",
     "RPA205": "resident AP usage inconsistent with resident_aps_required",
     "RPA206": "tile row count exceeds the CAM row capacity",
     "RPA207": "plan needs more CAM columns than the architecture provides",

@@ -120,9 +120,10 @@ class CleanupIndex:
     """Receiver tails with a qualifying drain/close somewhere in the tree.
 
     RPA302 is a whole-project property (the submit site and its cleanup may
-    live in different classes - ``PipelineScheduler`` submits, its base
-    ``Scheduler.close`` drains), so the index is built over every linted
-    file first and consulted per submit site afterwards.
+    live in different methods or classes - ``Cluster.submit_wave`` sends on
+    a replica's ``channel``, ``Cluster.close`` closes it), so the index is
+    built over every linted file first and consulted per submit site
+    afterwards.
     """
 
     def __init__(self) -> None:

@@ -1,25 +1,17 @@
-"""Static verification of execution plans and pipeline task graphs.
+"""Static verification of execution plans.
 
 The plan verifier proves an :class:`~repro.runtime.plan.ExecutionPlan`
 well-formed *before* anything executes or pins CAM state: every
 :data:`~repro.arch.accelerator.APAddress` inside the accelerator hierarchy,
 resident layers on disjoint AP groups, tile coordinates unique and
-consistent, row/column demands within the CAM geometry, and the pipeline
-dependency graph the runtime would build from the plan acyclic with every
-``(layer, tile)`` work item reachable from the sources (deadlock freedom).
-Findings are :class:`~repro.analysis.diagnostics.Diagnostic` values with
-stable ``RPA2xx`` codes and layer/tile locations.
-
-The dependency-graph model mirrors :meth:`PipelineScheduler.run
-<repro.runtime.pipeline.PipelineScheduler.run>` exactly: tiles are emitted
-in plan order and each tile depends on the previous tile placed on the same
-AP.  Verifying the *model* therefore verifies the schedule the runtime will
-actually dispatch.
+consistent, and row/column demands within the CAM geometry.  Findings are
+:class:`~repro.analysis.diagnostics.Diagnostic` values with stable
+``RPA2xx`` codes and layer/tile locations.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 from repro.analysis.diagnostics import VerificationReport
 from repro.analysis.program import verify_tile_program
@@ -27,107 +19,7 @@ from repro.analysis.program import verify_tile_program
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.arch.accelerator import Accelerator, APAddress
     from repro.core.compiler import CompiledModel
-    from repro.runtime.pipeline import PipelineTask
     from repro.runtime.plan import ExecutionPlan
-
-
-def verify_task_graph(
-    tasks: Sequence["PipelineTask"],
-    report: Optional[VerificationReport] = None,
-) -> VerificationReport:
-    """Check a pipeline task DAG for cycles and unreachable work items.
-
-    Runs Kahn's algorithm over the task keys: a duplicate key is flagged
-    ``RPA208``, a dependency on a key no task owns ``RPA204``, and any task
-    not drained by the topological walk sits on (or behind) a cycle -
-    ``RPA203`` for the cycle members, which the runtime would deadlock on.
-    """
-    report = report if report is not None else VerificationReport(subject="task graph")
-    by_key: Dict[Tuple, "PipelineTask"] = {}
-    for task in tasks:
-        if task.key in by_key:
-            report.add(
-                "RPA208",
-                f"duplicate pipeline task key {task.key!r}",
-            )
-            continue
-        by_key[task.key] = task
-
-    dependents: Dict[Tuple, List[Tuple]] = {}
-    blockers: Dict[Tuple, int] = {}
-    for task in by_key.values():
-        count = 0
-        for dependency in task.depends_on:
-            if dependency not in by_key:
-                report.add(
-                    "RPA204",
-                    f"task {task.key!r} depends on unknown key "
-                    f"{dependency!r}; it can never become dispatchable",
-                )
-                continue
-            dependents.setdefault(dependency, []).append(task.key)
-            count += 1
-        blockers[task.key] = count
-
-    frontier = sorted(key for key, count in blockers.items() if count == 0)
-    drained: Set[Tuple] = set()
-    while frontier:
-        key = frontier.pop()
-        drained.add(key)
-        for dependent in dependents.get(key, ()):
-            blockers[dependent] -= 1
-            if blockers[dependent] == 0:
-                frontier.append(dependent)
-
-    stuck = sorted(
-        key
-        for key in by_key
-        if key not in drained and blockers[key] > 0 and all(
-            dependency in by_key for dependency in by_key[key].depends_on
-        )
-    )
-    if stuck:
-        report.add(
-            "RPA203",
-            f"dependency graph contains a cycle; {len(stuck)} task(s) can "
-            f"never run, e.g. {stuck[:4]!r}",
-        )
-    return report
-
-
-def build_pipeline_tasks(plan: "ExecutionPlan") -> List["PipelineTask"]:
-    """The task DAG :class:`~repro.runtime.pipeline.PipelineScheduler` builds.
-
-    Kept in lockstep with ``PipelineScheduler.run``: one task per tile in
-    plan order, keyed ``(layer_index, position)``, depending on the previous
-    task placed on the same AP address.  The verifier checks this exact
-    graph, so a pass here is a guarantee about the runtime schedule.
-    """
-    from repro.runtime.pipeline import PipelineTask
-
-    tasks: List[PipelineTask] = []
-    last_on_ap: Dict[Tuple[int, int, int], Tuple] = {}
-    for layer in plan.layers:
-        for position, tile in enumerate(layer.tiles):
-            key = (layer.layer_index, position)
-            address = tuple(tile.address)
-            dependency = last_on_ap.get(address)
-            tasks.append(
-                PipelineTask(
-                    key=key,
-                    group=layer.layer_index,
-                    fn=_no_op,
-                    payload=None,
-                    depends_on=(dependency,) if dependency is not None else (),
-                )
-            )
-            last_on_ap[address] = key
-    return tasks
-
-
-def _no_op(payload: object) -> object:
-    """Placeholder task body for statically-modelled pipeline graphs."""
-    return payload
 
 
 def verify_execution_plan(
@@ -270,7 +162,4 @@ def verify_execution_plan(
                     f"resident_aps_required predicts at most {required}; the "
                     f"sizing contract auto-size relies on is broken",
                 )
-
-    # --- RPA203/RPA204: the runtime's pipeline DAG ------------------------
-    verify_task_graph(build_pipeline_tasks(plan), report)
     return report

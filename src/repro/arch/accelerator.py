@@ -190,7 +190,7 @@ class Accelerator:
     ---------------
     The ledgers (``_tile_stats``, ``_movement``, ``_residency``, ``_pins``)
     are shared by every thread that dispatches work: overlapping inference
-    requests and the synthetic pipelined scheduler's workers.  Every
+    requests each run on their own serving thread.  Every
     mutation of them must happen lexically inside ``with self._ledger_lock:``
     (``__init__`` excepted - the instance is not shared yet); the lock is
     **not** reentrant, so code holding it must not call other methods that
@@ -233,10 +233,10 @@ class Accelerator:
         self._pins: Dict[APAddress, PinnedLease] = {}
         #: Runtime ledger: lease / reprogram / warm-hit accounting.
         self._residency = ResidencyLedger()
-        #: Ledger guard: overlapping requests and the pipelined scheduler
-        #: charge counters from several threads concurrently; every mutation
-        #: of the stats, movement and residency ledgers takes this lock so
-        #: the exact integer counters stay exact under overlapped requests.
+        #: Ledger guard: overlapping requests charge counters from several
+        #: serving threads concurrently; every mutation of the stats,
+        #: movement and residency ledgers takes this lock so the exact
+        #: integer counters stay exact under overlapped requests.
         self._ledger_lock = threading.Lock()
 
     # ------------------------------------------------------------------

@@ -809,7 +809,7 @@ class BatchedInference:
             return
         self._closed = True
         try:
-            # Executor.close() drains its own in-flight futures first.
+            # A pool's shutdown waits for its running tasks.
             self.executor.close()
         finally:
             self.accelerator.release_aps()

@@ -16,16 +16,13 @@ explicit pipeline:
    serial output, and interconnect traffic is charged through the
    accelerator's :class:`~repro.arch.interconnect.InterconnectModel`.
 
-The usual entry point is
-:meth:`repro.arch.accelerator.Accelerator.execute_plan`; the helper
-:func:`execute_model` below goes from layer specs to a
-:class:`~repro.runtime.scheduler.PlanExecution` in one call (this is what
-``python -m repro run`` uses).
+The :class:`~repro.runtime.scheduler.Scheduler` is the one synthetic-input
+path: seeded tile inputs, exact counters.  It runs sampled plans
+(``slices``/``layers``), which the real-activation inference engine
+(:mod:`repro.inference.engine`) cannot.  ``python -m repro run`` reaches it
+through :meth:`repro.session.Session.run`; library code can call
+:meth:`repro.arch.accelerator.Accelerator.execute_plan` directly.
 """
-
-from __future__ import annotations
-
-from typing import Optional, Sequence
 
 from repro.runtime.executors import (
     Executor,
@@ -37,12 +34,6 @@ from repro.runtime.executors import (
     available_executors,
     resolve_executor,
 )
-from repro.runtime.pipeline import (
-    GroupTrace,
-    InFlightTracker,
-    PipelineScheduler,
-    PipelineTask,
-)
 from repro.runtime.plan import (
     ExecutionPlan,
     PlannedLayer,
@@ -52,33 +43,6 @@ from repro.runtime.plan import (
     resident_aps_required,
 )
 from repro.runtime.scheduler import LayerRunResult, PlanExecution, Scheduler
-
-
-def execute_model(
-    specs: Sequence,
-    accelerator=None,
-    compiler_config=None,
-    executor: ExecutorSpec = "serial",
-    workers: Optional[int] = None,
-    backend: Optional[str] = None,
-    base_seed: int = 0,
-    name: str = "model",
-) -> PlanExecution:
-    """Compile, plan and functionally execute a model in one call.
-
-    Thin convenience wrapper over ``compile_model(emit_programs=True)`` +
-    :func:`build_execution_plan` +
-    :meth:`~repro.arch.accelerator.Accelerator.execute_plan`.
-    """
-    from repro.arch.accelerator import Accelerator
-    from repro.core.compiler import compile_model
-
-    accelerator = accelerator or Accelerator()
-    compiled = compile_model(specs, compiler_config, name=name, emit_programs=True)
-    plan = build_execution_plan(compiled, accelerator=accelerator, base_seed=base_seed)
-    return accelerator.execute_plan(
-        plan, executor=executor, workers=workers, backend=backend
-    )
 
 
 __all__ = [
@@ -99,9 +63,4 @@ __all__ = [
     "LayerRunResult",
     "PlanExecution",
     "Scheduler",
-    "GroupTrace",
-    "InFlightTracker",
-    "PipelineScheduler",
-    "PipelineTask",
-    "execute_model",
 ]

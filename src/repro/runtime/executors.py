@@ -14,14 +14,12 @@ results **in payload order**.  Three executors ship with the runtime:
 * ``thread`` - a thread pool; lighter start-up, useful when the ``vectorized``
   backend spends its time in NumPy kernels that release the GIL.
 
-Every executor exposes two dispatch surfaces: the order-preserving
-``map_tasks`` - behind :meth:`Executor.map_layer`, the one per-layer call of
+Every executor dispatches through one surface, the order-preserving
+``map_tasks``: behind :meth:`Executor.map_layer`, the one per-layer call of
 the inference engine's per-instance work, and behind the synthetic
-:class:`~repro.runtime.scheduler.Scheduler` - and the asynchronous
-``submit_tasks``/``drain`` pair of the synthetic
-:class:`~repro.runtime.pipeline.PipelineScheduler`, which interleaves tiles
-of several layers on one pool.  The inference engine's layer waves
-(``batched`` backend) run in the calling thread and never reach an executor.
+:class:`~repro.runtime.scheduler.Scheduler`.  The inference engine's layer
+waves (``batched`` backend) run in the calling thread and never reach an
+executor.
 
 Determinism: a tile's result depends only on the tile itself (its programs
 and inputs) and the backend contract guarantees byte-identical
@@ -32,9 +30,8 @@ same order-independent reductions.
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Type, Union
 
@@ -251,16 +248,17 @@ class Executor:
     def submit_tasks(
         self, fn: Callable, payloads: Sequence, lease: Optional[LeaseFn] = None
     ) -> List[Future]:
-        """Asynchronously apply ``fn`` to payloads, returning one future each.
+        """Apply ``fn`` to payloads in the calling thread; settled futures.
 
-        The async counterpart of :meth:`map_tasks`, used by the synthetic
-        pipelined scheduler (:mod:`repro.runtime.pipeline`): callers interleave
-        submissions from several pipeline stages and reap completions in any
-        order.  The base implementation executes synchronously in the calling
-        thread (the serial semantics) and returns already-settled futures;
-        pool executors override it with real asynchronous submission.
+        Every executor runs the tasks one after another and returns one
+        already-settled future per payload (an exception is stored on its
+        future).  Nothing in the runtime calls this.  It stays only because
+        the repo benchmark's tracer (``perfbench/tracing.py``) patches it by
+        name and resolves every ``PATCHES`` entry with ``vars(owner)[name]``,
+        so deleting it would break the traced benchmark run.  Delete it
+        together with that ``PATCHES`` entry.
 
-        ``lease`` is honoured only by in-process execution, exactly like
+        ``lease`` maps a payload to a pre-leased AP, exactly like
         :meth:`map_tasks`.
         """
         telemetry.instant(
@@ -277,14 +275,6 @@ class Executor:
                 future.set_result(result)
             futures.append(future)
         return futures
-
-    def drain(self) -> None:
-        """Block until every task submitted via :meth:`submit_tasks` settles.
-
-        No-op for synchronous executors (their futures settle on submit).
-        Teardown paths call this so a failed pipelined run never leaves
-        workers racing a closed executor.
-        """
 
     def run(
         self,
@@ -337,8 +327,6 @@ class ParallelExecutor(Executor):
 
         self.workers = max(1, workers if workers is not None else (os.cpu_count() or 1))
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._inflight: "set[Future]" = set()
-        self._inflight_lock = threading.Lock()
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -371,69 +359,9 @@ class ParallelExecutor(Executor):
             return results
         return list(pool.map(fn, payloads, chunksize=chunksize))
 
-    def submit_tasks(
-        self, fn: Callable, payloads: Sequence, lease: Optional[LeaseFn] = None
-    ) -> List[Future]:
-        # Leases are in-process state; pool workers always build fresh APs
-        # (the lease contract guarantees byte-identical results), exactly as
-        # in map_tasks.
-        if self.workers <= 1:
-            return super().submit_tasks(fn, payloads, lease=lease)
-        telemetry.instant(
-            "executor.submit_tasks", executor=self.name, tasks=len(payloads)
-        )
-        pool = self._ensure_pool()
-        tracer = telemetry.get_tracer()
-        ship = tracer is not None and self.ships_spans
-        futures: List[Future] = []
-        for payload in payloads:
-            if ship:
-                pool_future = pool.submit(_traced_task, (fn, payload))
-                future = self._unwrap_shipped(pool_future, tracer)
-            else:
-                future = pool.submit(fn, payload)
-                pool_future = future
-            with self._inflight_lock:
-                self._inflight.add(pool_future)
-            pool_future.add_done_callback(self._discard_inflight)
-            futures.append(future)
-        return futures
-
-    def _unwrap_shipped(self, pool_future: Future, tracer) -> Future:
-        """Chain a pool future carrying ``(result, spans)`` to a plain one.
-
-        The pool future stays in ``_inflight`` (so :meth:`drain` still waits
-        on the real worker); callers get a fresh future that settles - after
-        the parent absorbs the shipped span batch - with the bare result.
-        """
-        unwrapped: Future = Future()
-
-        def _settle(done: Future) -> None:
-            try:
-                result, events = done.result()
-            except BaseException as error:  # noqa: BLE001 - re-settled below
-                unwrapped.set_exception(error)
-            else:
-                tracer.absorb(events)
-                unwrapped.set_result(result)
-
-        pool_future.add_done_callback(_settle)
-        return unwrapped
-
-    def _discard_inflight(self, future: Future) -> None:
-        with self._inflight_lock:
-            self._inflight.discard(future)
-
-    def drain(self) -> None:
-        with self._inflight_lock:
-            outstanding = list(self._inflight)
-        if outstanding:
-            wait(outstanding)
-
     def close(self) -> None:
-        # Idempotent and exception-safe: drain first so no worker is still
-        # executing when the pool is torn down, then shut the pool down once.
-        self.drain()
+        # Idempotent: shutdown() waits for running tasks, then the pool is
+        # dropped so a second call is a no-op.
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None

@@ -98,11 +98,6 @@ class PlanExecution:
     workers: int
     layers: List[LayerRunResult] = field(default_factory=list)
     wall_time_s: float = 0.0
-    #: Dispatch discipline that produced the run: ``"layer-sync"`` (barrier
-    #: per layer) or ``"pipelined"`` (dependency-driven, see
-    #: :mod:`repro.runtime.pipeline`).  Counters are byte-identical across
-    #: the two; only wall-clock differs.
-    mode: str = "layer-sync"
 
     @property
     def total_stats(self) -> CAMStats:
@@ -187,10 +182,9 @@ def aggregate_layer_run(
     """Reduce executed tiles' counters into one :class:`LayerRunResult`.
 
     The single accounting epilogue shared by the synthetic-input
-    :class:`Scheduler` and :class:`~repro.runtime.pipeline.PipelineScheduler`
-    and the real-activation inference engine (:mod:`repro.inference.engine`),
-    so energy/latency formulas cannot drift between ``repro run`` and
-    ``repro infer``.
+    :class:`Scheduler` and the real-activation inference engine
+    (:mod:`repro.inference.engine`), so energy/latency formulas cannot drift
+    between ``repro run`` and ``repro infer``.
 
     Args:
         layer: the planned layer the tiles belong to.
@@ -381,8 +375,8 @@ class Scheduler:
         """Release the executor's pooled workers (idempotent).
 
         Safe to call repeatedly and from ``finally`` blocks: the first call
-        drains and shuts the executor down, later calls are no-ops, so a
-        failed run can never leak a worker pool.
+        shuts the executor down, later calls are no-ops, so a failed run can
+        never leak a worker pool.
         """
         if getattr(self, "_closed", False):
             return

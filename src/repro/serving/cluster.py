@@ -13,8 +13,8 @@ lifecycle at data-parallel scale:
    (:class:`~repro.serving.worker.ReadyReply`), so the first served request
    is warm on every replica.
 2. :meth:`Cluster.submit`/:meth:`Cluster.submit_wave` route request waves
-   to replicas (round-robin or least-loaded via an
-   :class:`~repro.runtime.pipeline.InFlightTracker` keyed by replica);
+   to replicas (round-robin, or least-loaded by each replica's in-flight
+   request count);
    :meth:`Cluster.gather` collects results in submission order.  A replica
    that raises - or dies outright - fails only its own in-flight requests
    with a typed :class:`~repro.errors.RequestError`; the survivors keep
@@ -42,9 +42,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import telemetry
-from repro.errors import ClusterError, RequestError
+from repro.errors import ClusterError, RequestError, SimulationError
 from repro.runtime.executors import mp_context
-from repro.runtime.pipeline import InFlightTracker
 from repro.serving.config import ClusterConfig
 from repro.serving.worker import (
     FatalReply,
@@ -185,6 +184,12 @@ class _Replica:
         self.warm_hits = 0
         self.requests = 0
         self.failures = 0
+        #: Requests routed here and not yet settled, requests ever routed
+        #: here, and the high-water mark of ``in_flight`` (all guarded by the
+        #: cluster's lock).
+        self.in_flight = 0
+        self.dispatches = 0
+        self.max_in_flight = 0
         self.pending: Dict[int, RequestHandle] = {}
         self.reader: Optional[threading.Thread] = None
 
@@ -196,6 +201,15 @@ class _Replica:
         self.lease_events = residency.lease_events
         self.reprogram_events = residency.reprogram_events
         self.warm_hits = residency.warm_hits
+
+    def settle(self, count: int = 1) -> None:
+        """Release ``count`` in-flight slots (caller holds the cluster lock)."""
+        if self.in_flight < count:
+            raise SimulationError(
+                f"in-flight underflow on replica {self.replica_id}: "
+                f"{count} request(s) settled, {self.in_flight} in flight"
+            )
+        self.in_flight -= count
 
     @property
     def cold_leases(self) -> int:
@@ -238,7 +252,6 @@ class Cluster:
         self._lock = threading.Lock()
         self._next_request = 0
         self._round_robin = 0
-        self._tracker = InFlightTracker()
         self._submitted: List[RequestHandle] = []
         self._latencies_s: List[float] = []
         self._owns_tracer = config.trace_enabled and not telemetry.enabled()
@@ -432,8 +445,8 @@ class Cluster:
     ) -> Optional[RequestHandle]:
         with self._lock:
             handle = replica.pending.pop(request_id, None)
-        if handle is not None:
-            self._tracker.exit(replica.replica_id)
+            if handle is not None:
+                replica.settle()
         return handle
 
     def _mark_dead(self, replica: _Replica) -> None:
@@ -446,11 +459,10 @@ class Cluster:
         with self._lock:
             pending = list(replica.pending.items())
             replica.pending.clear()
+            replica.settle(len(pending))
+            replica.failures += len(pending)
         graceful = replica.stopped
         for request_id, handle in pending:
-            self._tracker.exit(replica.replica_id)
-            with self._lock:
-                replica.failures += 1
             cause = (
                 "worker stopped before serving the request"
                 if graceful
@@ -481,18 +493,11 @@ class Cluster:
         live = self._live_replicas()
         if not live:
             raise ClusterError("no live replicas (all workers have exited)")
-        if self.config.routing == "least-loaded":
-            loads = self._tracker.trace()
-            return min(
-                live,
-                key=lambda replica: (
-                    loads[replica.replica_id].in_flight
-                    if replica.replica_id in loads
-                    else 0,
-                    replica.replica_id,
-                ),
-            )
         with self._lock:
+            if self.config.routing == "least-loaded":
+                return min(
+                    live, key=lambda replica: (replica.in_flight, replica.replica_id)
+                )
             choice = live[self._round_robin % len(live)]
             self._round_robin += 1
         return choice
@@ -546,8 +551,9 @@ class Cluster:
                 target.pending[request_id] = handle
                 handles.append(handle)
                 self._submitted.append(handle)
-        for _ in handles:
-            self._tracker.enter(target.replica_id)
+            target.in_flight += len(handles)
+            target.dispatches += len(handles)
+            target.max_in_flight = max(target.max_in_flight, target.in_flight)
         try:
             target.channel.send_request(WaveRequest(items=tuple(items)))
         except (OSError, ValueError, BrokenPipeError) as error:
@@ -642,10 +648,8 @@ class Cluster:
     # ------------------------------------------------------------------
     def stats(self) -> ClusterStats:
         """Per-replica serving counters and residency deltas."""
-        loads = self._tracker.trace()
         replicas = []
         for replica in self._replicas:
-            load = loads.get(replica.replica_id)
             info = replica.ready_info
             replicas.append(
                 ReplicaStats(
@@ -653,9 +657,9 @@ class Cluster:
                     alive=replica.alive,
                     requests=replica.requests,
                     failures=replica.failures,
-                    in_flight=load.in_flight if load else 0,
-                    dispatches=load.dispatches if load else 0,
-                    max_in_flight=load.max_in_flight if load else 0,
+                    in_flight=replica.in_flight,
+                    dispatches=replica.dispatches,
+                    max_in_flight=replica.max_in_flight,
                     cold_leases=replica.cold_leases,
                     cold_reprograms=replica.cold_reprograms,
                     warm_hits=replica.warm_hits,

@@ -13,10 +13,12 @@ Scope and safety:
 
 * Only registry-string models are cacheable - a module tree built in user
   code has no stable identity to key on.
-* The key hashes the package version and a digest of the compiler sources
-  (:data:`COMPILER_SOURCES`), so upgrading the package - or editing the
-  compiler in a development tree without a version bump - invalidates every
-  prior entry (no stale-program hazard).
+* The key hashes the package version and a digest of every source that
+  shapes a cached model (:data:`COMPILER_SOURCES`: the compiler, the model
+  builders and their weight seeding, and the pickled configuration types),
+  so upgrading the package - or editing any of them in a development tree
+  without a version bump - invalidates every prior entry (no stale-program
+  hazard).
 * Stores are atomic (temp file + ``os.replace``); unreadable or truncated
   entries are treated as misses and overwritten, never trusted.
 * The cache is strictly opt-in: without the environment variable this module
@@ -45,9 +47,27 @@ COMPILE_CACHE_ENV = "REPRO_COMPILE_CACHE"
 _FORMAT = 1
 
 #: Sources, relative to the ``repro`` package, that shape a compiled model:
-#: the compiler, the bit-width and ternary-validation helpers it calls, and
-#: the AP instruction types pickled into every entry.
-COMPILER_SOURCES = ("core", "utils/bitops.py", "utils/validation.py", "ap/isa.py")
+#: the compiler and the bit-width and ternary-validation helpers it calls;
+#: the registry builders, the ``nn`` modules they build weights with, the
+#: weight seeding and the spec derivation (``nn/stats.py``); and the types
+#: pickled into every entry - AP instructions and the default
+#: ``ArchitectureConfig`` (with its ``RTMTechnology``) that ``CompilerConfig``
+#: carries.
+COMPILER_SOURCES = (
+    "core",
+    "utils/bitops.py",
+    "utils/validation.py",
+    "utils/rng.py",
+    "nn/models",
+    "nn/layers.py",
+    "nn/model.py",
+    "nn/ternary.py",
+    "nn/im2col.py",
+    "nn/stats.py",
+    "ap/isa.py",
+    "arch/config.py",
+    "rtm/timing.py",
+)
 
 
 def cache_dir() -> Optional[Path]:
@@ -75,7 +95,7 @@ def source_digest(root: Path, sources: Sequence[str] = (".",)) -> str:
 
 @functools.lru_cache(maxsize=None)
 def compiler_digest() -> str:
-    """Digest of this process's compiler sources (:data:`COMPILER_SOURCES`).
+    """Digest of this process's :data:`COMPILER_SOURCES`.
 
     Computed once: the compiler a running process imported cannot change
     under it.
@@ -92,8 +112,8 @@ def cache_key(config, package_version: str) -> Optional[str]:
     have no registry identity).  The key covers every input that shapes the
     compiled artifacts: model identity (name, width, sparsity, weight RNG),
     quantization (bits, signed), compile limits (slices, layers), the input
-    shape override, the package version and the compiler sources
-    (:func:`compiler_digest`).
+    shape override, the package version and the sources that shape the
+    compiled model (:func:`compiler_digest`).
     """
     if not isinstance(config.model, str):
         return None

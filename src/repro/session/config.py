@@ -40,7 +40,7 @@ class SessionConfig:
             configuration when omitted (grown automatically when
             ``auto_size`` is set and the resident deploy needs more APs).
         backend: functional AP execution backend (``reference`` /
-            ``vectorized``); the process default when omitted.
+            ``vectorized`` / ``batched``); the process default when omitted.
         executor: tile executor (``serial``/``parallel``/``thread``), class
             or instance - resolved once and reused by every request.
         workers: worker count for pool executors.

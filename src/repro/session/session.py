@@ -58,7 +58,6 @@ from repro.runtime.plan import (
     build_execution_plan,
     resident_aps_required,
 )
-from repro.runtime.pipeline import PipelineScheduler
 from repro.runtime.scheduler import PlanExecution, Scheduler
 from repro.session import cache as compile_cache
 from repro.session.config import SessionConfig
@@ -653,19 +652,17 @@ class Session:
             raise first_error
         return results
 
-    def run(self, pipeline: bool = False) -> PlanExecution:
+    def run(self) -> PlanExecution:
         """Serve one synthetic request: seeded tile inputs, exact counters.
 
-        The deterministic workload of the legacy ``repro run`` path, executed
-        against the *resident* deployment: same tile programs, same seeds,
-        but the dispatches are warm.  With ``pipeline`` the plan is walked by
-        the dependency-driven
-        :class:`~repro.runtime.pipeline.PipelineScheduler` instead of the
-        layer-synchronous scheduler - byte-identical counters either way.
+        The deterministic workload of ``repro run``, executed against the
+        *resident* deployment by the layer-synchronous
+        :class:`~repro.runtime.scheduler.Scheduler`: same tile programs, same
+        seeds, but the dispatches are warm.  It is the only path that serves
+        sampled sessions (``slices``/``layers``).
         """
         self._require(SessionState.DEPLOYED)
-        scheduler_type = PipelineScheduler if pipeline else Scheduler
-        scheduler = scheduler_type(
+        scheduler = Scheduler(
             self.accelerator, executor=self._executor, backend=self.config.backend
         )
         # The session owns the executor; Scheduler.close() is NOT called so

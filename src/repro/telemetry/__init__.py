@@ -35,7 +35,6 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     record_cam_stats,
     record_movement,
-    record_pipeline_trace,
     record_queue_depth,
     record_request_latencies,
     record_residency,
@@ -86,7 +85,6 @@ __all__ = [
     "MetricsRegistry",
     "record_cam_stats",
     "record_movement",
-    "record_pipeline_trace",
     "record_queue_depth",
     "record_request_latencies",
     "record_residency",

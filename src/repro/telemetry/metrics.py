@@ -29,7 +29,6 @@ __all__ = [
     "record_cam_stats",
     "record_residency",
     "record_movement",
-    "record_pipeline_trace",
     "record_queue_depth",
     "record_request_latencies",
     "record_span_latencies",
@@ -380,33 +379,6 @@ def record_movement(
         value = getattr(movement, name, None)
         if value:
             registry.counter(f"movement_{name}").inc(value, **labels)
-
-
-def record_pipeline_trace(
-    registry: MetricsRegistry, traces: Iterable[Any]
-) -> None:
-    """Mirror per-AP-group in-flight traces (peak depth, dispatches) as gauges.
-
-    Accepts the :class:`~repro.runtime.pipeline.GroupTrace` objects from an
-    ``InFlightTracker`` (duck-typed on ``group``/``dispatches``/
-    ``max_in_flight``).
-    """
-    depth = registry.gauge(
-        "pipeline_peak_depth", "peak concurrent work items per AP group"
-    )
-    entries = registry.counter(
-        "pipeline_entries", "work items dispatched per AP group"
-    )
-    for trace in traces:
-        group = getattr(trace, "group", None)
-        peak = getattr(trace, "max_in_flight", None)
-        count = getattr(trace, "dispatches", None)
-        if group is None:
-            continue
-        if peak is not None:
-            depth.set(peak, group=group)
-        if count:
-            entries.inc(count, group=group)
 
 
 def record_span_latencies(

@@ -11,16 +11,11 @@ import dataclasses
 
 import pytest
 
-from repro.analysis import (
-    build_pipeline_tasks,
-    verify_execution_plan,
-    verify_task_graph,
-)
+from repro.analysis import verify_execution_plan
 from repro.arch.accelerator import Accelerator
 from repro.arch.allocator import LayerDemand, allocate_layer
 from repro.arch.config import APConfig, ArchitectureConfig
 from repro.errors import AnalysisError, CapacityError
-from repro.runtime.pipeline import PipelineTask
 from repro.runtime.plan import build_execution_plan
 
 
@@ -127,43 +122,6 @@ class TestAddressing:
         plan = build_execution_plan(compiled_pair, placement="shared")
         report = verify_execution_plan(plan, narrow, check_programs=False)
         assert "RPA207" in report.codes()
-
-
-class TestTaskGraph:
-    def _task(self, key, depends_on=()):
-        return PipelineTask(
-            key=key, group=0, fn=lambda payload: payload, payload=None,
-            depends_on=tuple(depends_on),
-        )
-
-    def test_cycle_is_rpa203(self):
-        tasks = [
-            self._task((0, 0), [(0, 1)]),
-            self._task((0, 1), [(0, 0)]),
-        ]
-        report = verify_task_graph(tasks)
-        assert "RPA203" in report.codes()
-
-    def test_unknown_dependency_is_rpa204(self):
-        report = verify_task_graph([self._task((0, 0), [(9, 9)])])
-        assert "RPA204" in report.codes()
-
-    def test_duplicate_key_is_rpa208(self):
-        report = verify_task_graph([self._task((0, 0)), self._task((0, 0))])
-        assert "RPA208" in report.codes()
-
-    def test_linear_chain_is_clean(self):
-        tasks = [
-            self._task((0, 0)),
-            self._task((0, 1), [(0, 0)]),
-            self._task((1, 0), [(0, 1)]),
-        ]
-        assert verify_task_graph(tasks).ok
-
-    def test_plan_task_graph_matches_runtime_shape(self, resident_plan):
-        tasks = build_pipeline_tasks(resident_plan)
-        assert len(tasks) == resident_plan.num_tiles
-        assert verify_task_graph(tasks).ok
 
 
 class TestVerifyHook:

@@ -163,3 +163,32 @@ class TestExecutorEquivalence:
             ]
         finally:
             executor.close()
+
+
+class TestSubmitTasks:
+    """``submit_tasks`` runs in the calling thread and returns settled futures."""
+
+    def test_serial_submit_returns_settled_futures(self):
+        executor = SerialExecutor()
+        futures = executor.submit_tasks(lambda p: p * 2, [1, 2, 3])
+        assert all(future.done() for future in futures)
+        assert [future.result() for future in futures] == [2, 4, 6]
+
+    def test_serial_submit_captures_exceptions(self):
+        executor = SerialExecutor()
+
+        def work(payload):
+            raise RuntimeError("bad payload")
+
+        (future,) = executor.submit_tasks(work, [1])
+        assert future.done()
+        with pytest.raises(RuntimeError, match="bad payload"):
+            future.result()
+
+    @pytest.mark.parametrize("executor_type", [ParallelExecutor, ThreadExecutor])
+    def test_pool_executors_submit_without_a_pool(self, executor_type):
+        executor = executor_type(workers=2)
+        futures = executor.submit_tasks(lambda p: p + 1, [1, 2])
+        assert [future.result() for future in futures] == [2, 3]
+        assert executor._pool is None
+        executor.close()

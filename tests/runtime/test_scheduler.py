@@ -8,7 +8,7 @@ from repro.cam.stats import CAMStats
 from repro.core.compiler import CompilerConfig, compile_model
 from repro.errors import ConfigurationError
 from repro.perf.model import crosscheck_execution
-from repro.runtime import Scheduler, build_execution_plan, execute_model
+from repro.runtime import Scheduler, build_execution_plan
 from repro.runtime.plan import PlannedLayer, TileProgram, derive_tile_seed
 
 
@@ -190,15 +190,10 @@ class TestCrosscheckExecution:
         assert "diverges" in check.describe()
 
 
-class TestExecuteModelConvenience:
-    def test_execute_model(self, small_conv_spec, tiny_architecture):
-        execution = execute_model(
-            [small_conv_spec],
-            accelerator=Accelerator(tiny_architecture),
-            compiler_config=CompilerConfig(
-                activation_bits=4, architecture=tiny_architecture
-            ),
-            name="convenience",
-        )
-        assert execution.name == "convenience"
-        assert execution.total_ops > 0
+class TestSchedulerLifecycle:
+    def test_scheduler_close_idempotent(self):
+        scheduler = Scheduler(Accelerator(), executor="thread", workers=2)
+        scheduler.close()
+        scheduler.close()
+        with Scheduler(Accelerator(), executor="serial") as inner:
+            assert inner is not None

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.errors import ClusterError, ConfigurationError
+from repro.errors import ClusterError, ConfigurationError, SimulationError
 from repro.serving import Cluster, ClusterConfig, ClusterResult
+from repro.serving.cluster import _Replica
 
 from tests.serving.conftest import SERVING_CONFIG, make_images
 
@@ -152,6 +153,27 @@ class TestRoutingAndGather:
         assert stats.requests > 0
         assert stats.live_replicas == 2
         assert sum(r.dispatches for r in stats.replicas) >= stats.requests
+
+
+class TestReplicaCounters:
+    def test_tracks_high_water_mark(self, cluster):
+        before = cluster.stats().replicas[0]
+        assert before.in_flight == 0
+        wave = before.max_in_flight + 2
+        cluster.submit_wave([make_images(1)] * wave, replica=0)
+        cluster.gather()
+        after = cluster.stats().replicas[0]
+        assert after.dispatches == before.dispatches + wave
+        assert after.max_in_flight == wave
+        assert after.in_flight == 0
+
+    def test_settle_underflow_raises(self):
+        replica = _Replica(0, process=None, channel=None, response=None)
+        with pytest.raises(SimulationError, match="underflow"):
+            replica.settle()
+        replica.in_flight = 2
+        replica.settle(2)
+        assert replica.in_flight == 0
 
 
 class TestLifecycle:

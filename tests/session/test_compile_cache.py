@@ -63,17 +63,26 @@ class TestCacheKey:
             root, cache.COMPILER_SOURCES
         )
         # The compiled output also depends on the width and validation
-        # helpers and on the instruction types pickled into each entry.
-        assert {"utils/bitops.py", "utils/validation.py", "ap/isa.py"} <= set(
-            cache.COMPILER_SOURCES
-        )
+        # helpers, on the registry builders and the weight seeding, and on
+        # the instruction and configuration types pickled into each entry.
+        assert {
+            "utils/bitops.py",
+            "utils/validation.py",
+            "utils/rng.py",
+            "nn/models",
+            "nn/stats.py",
+            "ap/isa.py",
+            "arch/config.py",
+        } <= set(cache.COMPILER_SOURCES)
 
-    def test_editing_a_covered_utils_file_changes_the_key(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _digest_copied_sources(tmp_path, monkeypatch, extra=()):
+        """Point ``compiler_digest`` at a copy of the covered sources."""
         import shutil
         from pathlib import Path
 
         root = Path(repro.__file__).parent
-        for source in cache.COMPILER_SOURCES + ("utils/rng.py",):
+        for source in cache.COMPILER_SOURCES + tuple(extra):
             target = tmp_path / source
             target.parent.mkdir(parents=True, exist_ok=True)
             if (root / source).is_dir():
@@ -87,16 +96,30 @@ class TestCacheKey:
             "compiler_digest",
             lambda: cache.source_digest(tmp_path, cache.COMPILER_SOURCES),
         )
-        config = SessionConfig(**MODEL_KWARGS)
         assert cache.compiler_digest() == cache.source_digest(
             root, cache.COMPILER_SOURCES
         )
+
+    def test_editing_a_covered_utils_file_changes_the_key(self, tmp_path, monkeypatch):
+        self._digest_copied_sources(tmp_path, monkeypatch, extra=("telemetry/logs.py",))
+        config = SessionConfig(**MODEL_KWARGS)
         base = cache.cache_key(config, repro.__version__)
-        # An uncovered helper does not shape compiled programs.
-        with open(tmp_path / "utils" / "rng.py", "a") as handle:
+        # An uncovered module does not shape compiled programs.
+        with open(tmp_path / "telemetry" / "logs.py", "a") as handle:
             handle.write("\n# edited\n")
         assert cache.cache_key(config, repro.__version__) == base
         with open(tmp_path / "utils" / "bitops.py", "a") as handle:
+            handle.write("\n# edited\n")
+        assert cache.cache_key(config, repro.__version__) != base
+
+    @pytest.mark.parametrize("source", ["nn/models/vgg.py", "arch/config.py"])
+    def test_editing_a_model_builder_or_pickled_config_changes_the_key(
+        self, tmp_path, monkeypatch, source
+    ):
+        self._digest_copied_sources(tmp_path, monkeypatch)
+        config = SessionConfig(**MODEL_KWARGS)
+        base = cache.cache_key(config, repro.__version__)
+        with open(tmp_path / source, "a") as handle:
             handle.write("\n# edited\n")
         assert cache.cache_key(config, repro.__version__) != base
 

@@ -11,7 +11,6 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
     record_cam_stats,
     record_movement,
-    record_pipeline_trace,
     record_queue_depth,
     record_request_latencies,
     record_residency,
@@ -110,16 +109,6 @@ class TestAdapters:
         flat = registry.flat()
         assert flat["movement_bits{scope=global}"] == 1024.0
         assert flat["movement_energy_fj{scope=global}"] == 2.5
-
-    def test_record_pipeline_trace_uses_group_trace_fields(self):
-        from repro.runtime.pipeline import GroupTrace
-
-        trace = GroupTrace(group=3, dispatches=8, in_flight=0, max_in_flight=2)
-        registry = MetricsRegistry()
-        record_pipeline_trace(registry, [trace])
-        flat = registry.flat()
-        assert flat["pipeline_peak_depth{group=3}"] == 2
-        assert flat["pipeline_entries{group=3}"] == 8
 
     def test_record_span_latencies(self):
         from repro import telemetry
