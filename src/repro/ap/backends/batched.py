@@ -52,10 +52,10 @@ per-record pass flips and signs, padded to five passes.  The kernel
 executes each group with one set of NumPy calls on gathered ``(records,
 instances, rows)`` words, then scatters the results back.  Counters do not
 depend on the order: the replay reads each record's fire words by its slot
-in program order.  Instances run in chunks under one byte budget
-(:data:`_WAVE_CHUNK_BYTES`) covering the block state, the gathered operand
-loads, the minterm temporaries of the block's largest group and the
-chunk's output rows, priced at the schedule's word size.
+in program order.  Instances run in equal chunks under one byte budget
+(:data:`_WAVE_CHUNK_BYTES`) covering the block state, the chunk's masked
+operand loads, the minterm temporaries of the block's largest group and
+the chunk's output rows, priced at the schedule's word size.
 
 Batch results.  A wave returns one :class:`WaveBatch`: every instance's
 outputs in one ``(outputs, instances, rows)`` array in the schedule's
@@ -96,13 +96,17 @@ Equivalence contract (same as every backend, see :mod:`repro.ap.backends.base`):
   :meth:`WaveBatch.checksum` sums them over the wave, and takes the int64
   total of all outputs directly when that total cannot wrap.
 
-Operand input takes two forms: one ``{name: row vector}`` dict per
-(instance, program), validated and stacked per operand up front, or
-:class:`StagedWaveInputs`, where the host stages each operand as one
-``(instances, rows)`` integer batch (views of one lowered tensor per layer).
-Per block, the kernel gathers the block's operand batches in one stack,
-range-checks them in one vectorized test and places them in one scatter.
-Both forms produce byte-identical results and counters.
+Operand input.  The kernel takes one form: per lockstep block, one
+``(loads, instances, rows)`` array in the schedule's word dtype, loads in
+program order, each value a load's two's complement.  :class:`WaveGather`,
+the inference engine's form, lays it out with one ``take`` per block from a
+layer's codes through indices built at deploy (:func:`wave_gather_index`);
+its caller proves the codes fit every load.  The public forms - one
+``{name: row vector}`` dict per (instance, program), or
+:class:`StagedWaveInputs` with one ``(instances, rows)`` integer batch per
+operand - are adapters: per block and wave they stack the operands once,
+range-check them in one vectorized test and cast them to the word.  Every
+form produces byte-identical results and counters.
 
 The wave entry point :func:`execute_program_wave` is conservative: any
 program shape the vectorized backend would route to its interpreter fallback
@@ -155,7 +159,7 @@ _WORD_DTYPES = tuple(map(np.dtype, (np.uint8, np.uint16, np.uint32, np.uint64)))
 #: ``_BLOCK_WORDS // (rows * columns)`` programs side by side (at least one).
 _BLOCK_WORDS = 16384
 
-#: Byte budget of one wave chunk - block state, gathered operand loads,
+#: Byte budget of one wave chunk - block state, masked operand loads,
 #: minterm temporaries and output rows.  Instances beyond it run in
 #: equivalence-preserving chunks (instances are independent).  Swept on
 #: 96-image VGG-9 (width 1/16) requests, 2-vCPU host with 4 MiB of L2: with
@@ -654,7 +658,9 @@ class StagedWaveInputs:
 
     ``values[j][name]`` is one ``(instances, rows)`` integer batch per
     program ``j`` and operand name: every instance's operand rows as views
-    (or one vectorized gather) of the layer's staged operand tensor.
+    (or one vectorized gather) of the layer's lowered operand tensor.  The
+    wave stacks each block's batches once, range-checks them and casts
+    them to the kernel's word form.
 
     Byte-identical to the per-instance dict form by construction: the staged
     arrays hold exactly the rows each instance's payload dict would have
@@ -705,6 +711,65 @@ def wave_staging_plan(
     if sequence is None:
         return None
     return [lowered.load_widths() for lowered in sequence.compiled]
+
+
+class WaveGather:
+    """A wave's operands as one gather from a layer's codes.
+
+    ``codes`` is an ``(images, 1 + features)`` array in the tile schedule's
+    word dtype: column 0 is zero (the id of every padding element) and
+    column ``1 + f`` holds each image's code of feature ``f`` as its two's
+    complement.  ``index[b]`` is lockstep block ``b``'s ``(loads, tiles,
+    rows)`` array of feature ids, from :func:`wave_gather_index` at deploy.
+    Instance ``i`` is image ``i // tiles`` on tile ``i % tiles``, and one
+    ``take`` per block lays out the block's loads.  No code is range-checked:
+    the caller vouches that every code fits every load width.
+    """
+
+    __slots__ = ("codes", "index", "tiles", "rows")
+
+    def __init__(
+        self, codes: np.ndarray, index: Sequence[np.ndarray], tiles: int, rows: int
+    ) -> None:
+        self.codes = codes
+        self.index = index
+        self.tiles = tiles
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return self.codes.shape[0] * self.tiles
+
+
+def wave_gather_index(
+    programs: Sequence[APProgram],
+    staged: StagedWaveInputs,
+    rows: int,
+    columns: int,
+    technology: Optional[RTMTechnology] = None,
+    carry_column: int = 0,
+) -> Optional[Tuple[np.dtype, List[np.ndarray]]]:
+    """The deploy-time half of :class:`WaveGather`.
+
+    Returns the tile schedule's word dtype and ``staged``'s batches in each
+    lockstep block's load order, one ``(loads, instances, rows)`` int64
+    array per block - the kernel's layout, neither range-checked nor cast.
+    Staged from an image of feature ids rather than codes, these arrays are
+    the gather indices of every block's loads.  ``None`` when the programs
+    decline a wave or a batch is missing or malformed.
+    """
+    technology = technology or DEFAULT_RTM_TECHNOLOGY
+    domains = technology.domains_per_nanowire
+    if columns < 1 or rows < 1 or domains > _WORD_BITS or staged.rows != rows:
+        return None
+    if not programs:
+        return _WORD_DTYPES[0], []
+    sequence = _sequence(programs, rows, columns, domains, carry_column, False)
+    if sequence is None:
+        return None
+    blocks = _block_operands(sequence.schedule, sequence.compiled, staged, rows)
+    if blocks is None:
+        return None
+    return sequence.schedule.word, blocks
 
 
 class _WaveSequence:
@@ -1048,11 +1113,10 @@ class _Schedule:
                     output_span,
                 )
             )
-            # Per instance row: block state, loads (stacked as int64, then
-            # as words), group temporaries (sources, carries, result,
-            # literals, minterms and target words of the block's largest
-            # group) and the block's readout.
-            block_loads = load_span[1] - load_span[0]
+            # Per instance row: block state, the masked loads, group
+            # temporaries (sources, carries, result, literals, minterms and
+            # target words of the block's largest group) and the block's
+            # readout, all words.
             largest = int(
                 sizes[block_groups[index] : block_groups[index + 1]].max(initial=0)
             )
@@ -1062,10 +1126,9 @@ class _Schedule:
                 * (
                     (stop - start) * columns
                     + 28 * largest
-                    + block_loads
+                    + load_span[1] - load_span[0]
                     + output_span[1] - output_span[0]
-                )
-                + 8 * block_loads,
+                ),
             )
         #: Per-program defined-domain masks, kept only where the kernel
         #: composes the true AP state.
@@ -1310,9 +1373,9 @@ class WaveBatch:
         return sum(self.outputs.sum(axis=2, dtype=np.int64).ravel().tolist())
 
 
-#: Either input form accepted by :func:`execute_program_wave`.
+#: Every input form accepted by :func:`execute_program_wave`.
 WaveInputs = Union[
-    Sequence[Sequence[Mapping[str, Sequence[int]]]], StagedWaveInputs
+    Sequence[Sequence[Mapping[str, Sequence[int]]]], StagedWaveInputs, WaveGather
 ]
 
 
@@ -1377,12 +1440,12 @@ def _stage_dicts(
 def _decline_inputs(
     compiled: Sequence[_CompiledWaveProgram], staged: StagedWaveInputs, rows: int
 ) -> None:
-    """Decline a wave whose staged operands failed the kernel's vectorized
-    checks, naming the first bad operand in program order.
+    """Decline a wave whose staged operands failed the vectorized checks,
+    naming the first bad operand in program order.
 
     Walks the batches one by one - missing name, wrong shape or dtype,
     out-of-range value - so the decline carries the same reason and operand
-    whichever block or chunk tripped first.
+    whichever block tripped first.
     """
     entries = staged.values
     total = staged.instances
@@ -1406,16 +1469,17 @@ def _block_operands(
     compiled: Sequence[_CompiledWaveProgram],
     staged: StagedWaveInputs,
     rows: int,
-) -> Optional[List[List[np.ndarray]]]:
-    """Every block's operand batches in load order, shape- and dtype-checked
-    in one pass per block; ``None`` (declined) if any is missing or bad.
+) -> Optional[List[np.ndarray]]:
+    """Every block's operand batches stacked in load order, one ``(loads,
+    instances, rows)`` int64 array per block, shape- and dtype-checked in
+    one pass per block; ``None`` (declined) if any is missing or bad.
 
     A ``uint64`` batch is range-checked here as well: its values do not
-    survive the kernel's cast to int64 unchecked.
+    survive the cast to int64 unchecked.
     """
     entries = staged.values
     expected = (staged.instances, rows)
-    blocks: List[List[np.ndarray]] = []
+    blocks: List[np.ndarray] = []
     for block in schedule.blocks:
         try:
             operands = [
@@ -1441,8 +1505,64 @@ def _block_operands(
                     operands = None
         if operands is None:
             return _decline_inputs(compiled, staged, rows)
-        blocks.append(operands)
+        blocks.append(
+            np.stack(operands, dtype=np.int64)
+            if operands
+            else np.empty((0,) + expected, dtype=np.int64)
+        )
     return blocks
+
+
+def _word_loads(
+    schedule: "_Schedule",
+    compiled: Sequence[_CompiledWaveProgram],
+    staged: StagedWaveInputs,
+    rows: int,
+) -> Optional[List[np.ndarray]]:
+    """The kernel form of staged operand batches: each block's stacked
+    loads, range-checked against their signed widths in one vectorized test
+    and cast once to the schedule's word; ``None`` (declined) when a batch
+    is missing, malformed or out of range."""
+    blocks = _block_operands(schedule, compiled, staged, rows)
+    if blocks is None:
+        return None
+    loads: List[np.ndarray] = []
+    for block, values in zip(schedule.blocks, blocks):
+        widths = schedule.l_width[slice(*block.loads)]
+        if len(values) and (
+            (values.min(axis=(1, 2)) < _SIGNED_MIN[widths]).any()
+            or (values.max(axis=(1, 2)) > _SIGNED_MAX[widths]).any()
+        ):
+            return _decline_inputs(compiled, staged, rows)
+        # Range-checked values wrap into the word as their two's complement.
+        loads.append(values.astype(schedule.word))
+    return loads
+
+
+def _gathered_loads(
+    schedule: "_Schedule", gather: WaveGather
+) -> Optional[List[np.ndarray]]:
+    """The kernel form of a :class:`WaveGather`: one ``take`` per block,
+    transposed to ``(loads, images x tiles, rows)``; ``None`` (declined)
+    when the codes are not in the schedule's word or an index does not fit
+    its block."""
+    codes, tiles, rows = gather.codes, gather.tiles, gather.rows
+    if (
+        codes.ndim != 2
+        or codes.dtype != schedule.word
+        or len(gather.index) != len(schedule.blocks)
+    ):
+        _decline("invalid-input", form="gather")
+        return None
+    loads: List[np.ndarray] = []
+    for block, index in zip(schedule.blocks, gather.index):
+        count = block.loads[1] - block.loads[0]
+        if index.shape != (count, tiles, rows):
+            _decline("invalid-input", form="gather")
+            return None
+        taken = np.take(codes, index, axis=1)
+        loads.append(taken.transpose(1, 0, 2, 3).reshape(count, -1, rows))
+    return loads
 
 
 def execute_program_wave(
@@ -1457,31 +1577,33 @@ def execute_program_wave(
 
     Every instance models a fresh ``rows x columns`` AP running ``programs``
     back to back on its own input set (the exact contract of a pooled or
-    fresh-worker AP executing one tile).  ``inputs_per_instance`` is either
-    the one-dict-per-(instance, program) form or a host-staged
-    :class:`StagedWaveInputs` batch.  Returns one :class:`WaveBatch` of
-    every instance's outputs and counters - byte-identical to running each
+    fresh-worker AP executing one tile).  ``inputs_per_instance`` is the
+    one-dict-per-(instance, program) form, a host-staged
+    :class:`StagedWaveInputs` batch or a deploy-planned
+    :class:`WaveGather`.  Returns one :class:`WaveBatch` of every
+    instance's outputs and counters - byte-identical to running each
     instance alone on any registered backend - ``[]`` for an empty wave, or
     ``None`` when the wave cannot take the batched path (unsupported
     instruction shapes, geometry, or malformed inputs), in which case the
     caller must fall back to per-instance dispatch.
 
     A sequence :func:`wave_staging_plan` has seen is found with one lookup:
-    its lowering, schedule and replay plan were built at deploy.
+    its lowering, schedule and replay plan were built at deploy.  The wave
+    runs in the fewest chunks the byte budget allows, of equal size (the
+    last one smaller by less than the chunk count).
     """
     technology = technology or DEFAULT_RTM_TECHNOLOGY
     domains = technology.domains_per_nanowire
-    staged = isinstance(inputs_per_instance, StagedWaveInputs)
-    total = (
-        inputs_per_instance.instances if staged else len(inputs_per_instance)
-    )
+    inputs = inputs_per_instance
+    total = len(inputs)
     if total == 0:
         return []
     if rows < 1 or columns < 1 or domains > _WORD_BITS:
         _decline("geometry", rows=rows, columns=columns, domains=domains)
         return None
-    if staged and inputs_per_instance.rows != rows:
-        _decline("geometry", rows=rows, staged_rows=inputs_per_instance.rows)
+    gathered = isinstance(inputs, WaveGather)
+    if (gathered or isinstance(inputs, StagedWaveInputs)) and inputs.rows != rows:
+        _decline("geometry", rows=rows, staged_rows=inputs.rows)
         return None
 
     sequence = None
@@ -1490,14 +1612,13 @@ def execute_program_wave(
         if sequence is None:
             return None
     compiled = sequence.compiled if sequence is not None else []
-    if staged:
-        if len(inputs_per_instance.values) != len(compiled):
+    if isinstance(inputs, StagedWaveInputs):
+        if len(inputs.values) != len(compiled):
             _decline("malformed-inputs", programs=len(compiled))
             return None
-        inputs = inputs_per_instance
-    else:
+    elif not gathered:
         with telemetry.span("host.stage", category="host", mode="gather"):
-            inputs = _stage_dicts(compiled, inputs_per_instance, rows)
+            inputs = _stage_dicts(compiled, inputs, rows)
         if inputs is None:
             return None
     if sequence is None:
@@ -1505,10 +1626,16 @@ def execute_program_wave(
         return WaveBatch(np.empty((0, total, rows), dtype=np.int64), rows, static)
 
     schedule, plan = sequence.schedule, sequence.plan
-    operands = _block_operands(schedule, compiled, inputs, rows)
-    if operands is None:
+    with telemetry.span("host.stage", category="host", mode="gather"):
+        loads = (
+            _gathered_loads(schedule, inputs)
+            if gathered
+            else _word_loads(schedule, compiled, inputs, rows)
+        )
+    if loads is None:
         return None
-    chunk = schedule.chunk(rows, total, plan)
+    chunks = -(-total // schedule.chunk(rows, total, plan))
+    chunk = -(-total // chunks)
     batch = WaveBatch(
         np.empty((schedule.outputs, total, rows), dtype=schedule.signed),
         rows,
@@ -1529,16 +1656,13 @@ def execute_program_wave(
     ):
         for start in range(0, total, chunk):
             stop = min(start + chunk, total)
-            counters = _execute_wave_chunk(
-                schedule, plan, operands, start, stop, total, rows, batch.outputs
-            )
-            if counters is None:
-                return _decline_inputs(compiled, inputs, rows)
             (
                 batch.write_phases[start:stop],
                 batch.written_bits[start:stop],
                 batch.lockstep_shift_steps[start:stop],
-            ) = counters
+            ) = _execute_wave_chunk(
+                schedule, plan, loads, start, stop, total, rows, batch.outputs
+            )
     return batch
 
 
@@ -1546,32 +1670,23 @@ def _load_block(
     state: np.ndarray,
     schedule: "_Schedule",
     block: _Block,
-    operands: List[np.ndarray],
+    loads: np.ndarray,
     start: int,
     stop: int,
     total: int,
-) -> bool:
-    """Place one block's operand batches for instances ``[start, stop)``:
-    one stack, one vectorized range check, one scatter per load round.
-    ``False`` when a value is out of its operand's signed range."""
-    if not operands:
-        return True
+) -> None:
+    """Place one block's loads - a ``(loads, instances, rows)`` array in the
+    schedule's word dtype - for instances ``[start, stop)``: one mask, one
+    shift and one scatter per load round."""
+    if not len(loads):
+        return
     if stop - start != total:
-        operands = [batch[start:stop] for batch in operands]
-    values = np.stack(operands, dtype=np.int64)
+        loads = loads[:, start:stop]
     first, last = block.loads
-    widths = schedule.l_width[first:last]
-    if (
-        (values.min(axis=(1, 2)) < _SIGNED_MIN[widths]).any()
-        or (values.max(axis=(1, 2)) > _SIGNED_MAX[widths]).any()
-    ):
-        return False
     unsigned = schedule.word
-    # Range-checked values wrap into the word as their two's complement.
-    bits = values.astype(unsigned)
-    low = _LOW[widths].astype(unsigned).reshape(-1, 1, 1)
+    low = _LOW[schedule.l_width[first:last]].astype(unsigned).reshape(-1, 1, 1)
     offsets = schedule.l_offset[first:last].astype(unsigned)
-    bits &= low
+    bits = loads & low
     bits <<= offsets
     keep = ~(low << offsets)
     words = schedule.l_idx[first:last].astype(np.intp)
@@ -1581,7 +1696,6 @@ def _load_block(
         merged &= keep[chosen]
         merged |= bits[chosen]
         state[targets] = merged
-    return True
 
 
 def _run_groups(
@@ -1730,17 +1844,17 @@ def _compose(
 def _execute_wave_chunk(
     schedule: "_Schedule",
     plan: _ReplayPlan,
-    operands: List[List[np.ndarray]],
+    loads: List[np.ndarray],
     start: int,
     stop: int,
     total: int,
     rows: int,
     outputs: np.ndarray,
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run instances ``[start, stop)`` through every block of the schedule,
     reading their outputs into ``outputs[:, start:stop]``; returns their
-    ``(write_phases, written_bits, lockstep_shift_steps)``, or ``None`` when
-    an operand value is out of range."""
+    ``(write_phases, written_bits, lockstep_shift_steps)``.  ``loads`` holds
+    each block's loads in the kernel form (see :func:`_load_block`)."""
     instances = stop - start
     columns = schedule.columns
     fires = np.zeros((_MAX_PASSES, plan.slots, instances), dtype=np.int64)
@@ -1748,7 +1862,7 @@ def _execute_wave_chunk(
     chunk_outputs = outputs[:, start:stop]
     truth: Optional[np.ndarray] = None
     count_dtype = schedule.count_dtype(rows)
-    for block, block_operands in zip(schedule.blocks, operands):
+    for block, block_loads in zip(schedule.blocks, loads):
         state = np.zeros(
             ((block.stop - block.start) * columns, instances, rows),
             dtype=schedule.word,
@@ -1759,10 +1873,7 @@ def _execute_wave_chunk(
         # fan-out), not CAM arithmetic: charge it to the ``host.stage``
         # ledger so the host/device split prices it honestly.
         with telemetry.span("host.stage", category="host", mode="wave-load"):
-            if not _load_block(
-                state, schedule, block, block_operands, start, stop, total
-            ):
-                return None
+            _load_block(state, schedule, block, block_loads, start, stop, total)
         _run_groups(state, schedule, block, fires, counts, count_dtype)
         _read_block(state, schedule, block, chunk_outputs)
         if block.tracks:

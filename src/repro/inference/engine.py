@@ -10,21 +10,29 @@ logits of the AP dataflow must match the pure-NumPy quantized reference
 (:func:`repro.inference.reference.quantized_reference_forward`) exactly.
 
 Every layer runs one way: layer-synchronously, the word-parallel search of
-the paper's AP.  The batch's layer input is quantized and lowered once; each
-group of tiles sharing compiled programs stages its ``(image, tile)``
-instances as views of that one tensor and executes them as one
-:func:`~repro.ap.backends.batched.execute_program_wave` call.  The wave
-returns one :class:`~repro.ap.backends.batched.WaveBatch` for the whole
-group, which the layer epilogue reduces as a whole: the outputs fold over
-the program axis and add into the layer accumulator once per tile position,
-the counters fill an ``(images, tiles, 8)`` matrix for
-:func:`~repro.runtime.scheduler.aggregate_layer_run`, and residency is
+the paper's AP.  Every index between a layer's codes and its AP rows is
+fixed at deploy: there, each wave group lowers an image of feature ids
+(:func:`~repro.inference.activations.lower_batch_rows`, zero padding
+becoming id 0), stages it and keeps its lockstep blocks' loads as
+:func:`~repro.ap.backends.batched.wave_gather_index` arrays.  A request
+writes the batch's codes once into a zero-led array in the tiles' word
+dtype and hands each group one
+:class:`~repro.ap.backends.batched.WaveGather`, which
+:func:`~repro.ap.backends.batched.execute_program_wave` lays out with one
+``take`` per block - no im2col, staging dict or range check per request,
+because deploy proved the quantizer's codes fit every load width (a layer
+whose proof fails checks its codes per request).  The wave returns one
+:class:`~repro.ap.backends.batched.WaveBatch` for the whole group, which
+the layer epilogue reduces as a whole: the outputs fold over the program
+axis in the narrowest exact accumulator and add into the layer accumulator
+once per tile position, the counters fill an ``(images, tiles, 8)`` matrix
+for :func:`~repro.runtime.scheduler.aggregate_layer_run`, and residency is
 accounted once per tile.  Instances no wave takes - backends without wave
-support (``reference``, ``vectorized``), codes wider than the staged load
-width, a declined wave - go to the executor in one order-preserving
-:meth:`~repro.runtime.executors.Executor.map_layer` call per layer, their
-operands indexed out of the same staged views, and reduce one by one.  Both
-routes produce the same outputs, checksums and
+support (``reference``, ``vectorized``), codes wider than the narrowest
+load width, a declined wave - lower lazily through ``lower_batch_rows``
+and :func:`_stage_group` and go to the executor in one order-preserving
+:meth:`~repro.runtime.executors.Executor.map_layer` call per layer, and
+reduce one by one.  Both routes produce the same outputs, checksums and
 :class:`~repro.cam.stats.CAMStats`, so every backend and executor is
 byte-identical.
 
@@ -51,7 +59,9 @@ from repro.ap.backends import resolve_backend
 from repro.ap.backends.batched import (
     StagedWaveInputs,
     WaveBatch,
+    WaveGather,
     execute_program_wave,
+    wave_gather_index,
     wave_staging_plan,
 )
 from repro.ap.core import AssociativeProcessor
@@ -78,6 +88,7 @@ from repro.inference.dataflow import (
     patch_weight_layers,
 )
 from repro.nn.layers import Module
+from repro.nn.quantization import QuantizationConfig
 from repro.nn.stats import model_layer_specs
 from repro.runtime.executors import ExecutorSpec, make_lease, resolve_executor
 from repro.runtime.plan import build_execution_plan
@@ -158,6 +169,10 @@ def _inference_tile_worker(payload, ap=None) -> InferenceTileResult:
     )
 
 
+#: Fold accumulators, narrowest first (see :meth:`_Fold.accumulator`).
+_FOLD_DTYPES = tuple(map(np.dtype, (np.int8, np.int16, np.int32)))
+
+
 class _Fold:
     """Static reduction of a tile's outputs onto the layer's output channels.
 
@@ -188,26 +203,47 @@ class _Fold:
             slice(int(targets[0]), int(targets[-1]) + 1) if contiguous else targets
         )
 
+    def accumulator(self, dtype: np.dtype) -> np.dtype:
+        """The narrowest signed dtype that sums the program axis of ``dtype``
+        outputs exactly.
+
+        A channel gets at most one output per program (names are unique
+        within a program), so every sum has at most ``programs`` terms of
+        magnitude at most ``2**(bits - 1)``: ``programs * 2**(bits - 1)``
+        must fit the accumulator's range.
+        """
+        bits = 8 * dtype.itemsize
+        for candidate in _FOLD_DTYPES:
+            if candidate.itemsize >= dtype.itemsize and (
+                self.programs << (bits - 1) <= 1 << (8 * candidate.itemsize - 1)
+            ):
+                return candidate
+        return np.dtype(np.int64)
+
     def __call__(self, outputs: np.ndarray) -> np.ndarray:
         """Fold ``(outputs, instances, rows)`` partial sums to ``(targets,
         instances, rows)`` exact int64 sums."""
+        accumulator = self.accumulator(outputs.dtype)
         if self.order is None:
-            return outputs.reshape(self.programs, -1, *outputs.shape[1:]).sum(
-                axis=0, dtype=np.int64
+            folded = outputs.reshape(self.programs, -1, *outputs.shape[1:]).sum(
+                axis=0, dtype=accumulator
             )
-        return np.add.reduceat(
-            outputs[self.order], self.starts, axis=0, dtype=np.int64
-        )
+        else:
+            folded = np.add.reduceat(
+                outputs[self.order], self.starts, axis=0, dtype=accumulator
+            )
+        return folded.astype(np.int64, copy=False)
 
 
 class _TileGroup:
     """One layer's tiles that share compiled programs, rows and channels.
 
     The staging unit of a layer: all ``(image, tile)`` instances of the group
-    are staged as slices of the layer's one lowered tensor, image-major and
-    tile-minor, so instance ``i`` is image ``i // tiles`` on tile
-    ``tile_indices[i % tiles]``.  ``wave`` says whether the programs lower
-    to the batched wave (always ``False`` on backends without one).
+    run as one wave, image-major and tile-minor, so instance ``i`` is image
+    ``i // tiles`` on tile ``tile_indices[i % tiles]``.  ``wave`` says
+    whether the programs run as a wave (always ``False`` on backends without
+    one); a wave group's ``index`` holds each lockstep block's deploy-planned
+    gather indices and ``word`` its schedule's word dtype.
 
     The static reduction layout: each program emits its outputs in
     sorted-name order (``names_seq``), so the output channel of every
@@ -224,6 +260,8 @@ class _TileGroup:
         "bindings",
         "rows_idx",
         "wave",
+        "word",
+        "index",
         "names_seq",
         "channels",
         "fold",
@@ -234,6 +272,8 @@ class _TileGroup:
         self.rows = rows
         self.bindings = bindings
         self.wave = wave
+        self.word: Optional[np.dtype] = None
+        self.index: Optional[List[np.ndarray]] = None
         self.names_seq = [
             tuple(sorted(program.output_columns)) for program in tile.programs
         ]
@@ -252,27 +292,38 @@ class _NodePlan:
     """Per-layer host dataflow plan, built once per engine.
 
     ``tiles`` are the layer's tile programs; ``groups`` stages them.
-    ``min_width`` is the narrowest wave load width - codes outside its signed
-    range skip the wave, and the per-instance backends raise the proper
-    range errors for them.
+    ``shape`` is the layer's un-batched code shape, the one its gather
+    indices were planned for.  ``min_width`` is the narrowest wave load
+    width - codes outside its signed range skip the wave, and the
+    per-instance backends raise the proper range errors for them.
+    ``proven`` says whether deploy proved that every code the quantizer can
+    emit fits ``min_width``; only unproven layers check codes per request.
     """
 
-    __slots__ = ("tiles", "groups", "min_width")
+    __slots__ = ("tiles", "groups", "shape", "min_width", "proven")
 
-    def __init__(self, tiles, groups, min_width) -> None:
+    def __init__(self, tiles, groups, shape, min_width, proven) -> None:
         self.tiles = tiles
         self.groups = groups
+        self.shape = shape
         self.min_width = min_width
+        self.proven = proven
 
 
-def _plan_node(node, columns: int, technology, wave_capable: bool) -> _NodePlan:
+def _plan_node(
+    node, columns: int, technology, wave_capable: bool, codes: QuantizationConfig
+) -> _NodePlan:
     """Group one layer's tiles for staging and plan their reductions.
 
     On wave-capable backends :func:`wave_staging_plan` - called here, at
     engine construction - also pre-lowers every program to its wave form,
-    moving the whole compile-to-wave cost out of the first request.  Each
-    tile's add/sub count, which layer aggregation reads on every request,
-    is counted here too.
+    moving the whole compile-to-wave cost out of the first request.  Then
+    one image of feature ids (``1 .. C*H*W``; zero padding becomes id 0) is
+    lowered and staged like a request's codes, and each wave group keeps
+    its blocks' loads of that image as gather indices.  Each tile's add/sub
+    count, which layer aggregation reads on every request, is counted here
+    too.  The range proof compares ``min_width`` with the quantizer's
+    ``[qmin, qmax]`` for ``codes``.
     """
     rows_per_ap = node.mapping.rows_per_ap
     groups: List[_TileGroup] = []
@@ -307,8 +358,32 @@ def _plan_node(node, columns: int, technology, wave_capable: bool) -> _NodePlan:
             groups.append(group)
         group.tile_indices.append(index)
         group.starts.append(tile.row_tile * rows_per_ap)
+    shape = tuple(node._input_shape)
+    if any(group.wave for group in groups):
+        size = int(np.prod(shape))
+        ids = np.arange(1, size + 1, dtype=np.int64).reshape((1,) + shape)
+        lowered = lower_batch_rows(ids, node.kernel_size, node.stride, node.padding)
+        for group in groups:
+            if not group.wave:
+                continue
+            gather = wave_gather_index(
+                group.tile.programs,
+                _stage_group(group, lowered, 1),
+                group.rows,
+                columns,
+                technology=technology,
+            )
+            if gather is None:
+                group.wave = False
+                continue
+            group.word = gather[0]
+            group.index = [index.astype(np.int32) for index in gather[1]]
     min_width = min(widths_seen) if widths_seen else None
-    return _NodePlan(node.planned.tiles, groups, min_width)
+    proven = min_width is None or (
+        min_signed_value(min_width) <= codes.qmin
+        and codes.qmax <= max_signed_value(min_width)
+    )
+    return _NodePlan(node.planned.tiles, groups, shape, min_width, proven)
 
 
 def _stage_group(
@@ -317,9 +392,8 @@ def _stage_group(
     """Stage one group's operands as slices of the lowered tensor.
 
     Single-tile groups (the common shape of weight-resident plans) stage
-    pure views - zero copies between the layer's one lowering pass and the
-    CAM load.  Multi-tile groups gather all tiles' row windows in one fancy
-    index per operand (one copy per operand name, never per instance).
+    pure views.  Multi-tile groups gather all tiles' row windows in one
+    fancy index per operand (one copy per operand name, never per instance).
     """
     tiles = len(group.tile_indices)
     rows = group.rows
@@ -344,6 +418,17 @@ def _stage_group(
         for channel, names in group.bindings
     ]
     return StagedWaveInputs(instances, rows, values)
+
+
+def _word_codes(codes: np.ndarray, word: np.dtype) -> np.ndarray:
+    """A layer's ``(images, ...)`` codes as the zero-led ``(images, 1 +
+    features)`` array a :class:`WaveGather` reads, in ``word``: column 0 is
+    the padding id's zero, and each code wraps to its two's complement."""
+    images = codes.shape[0]
+    flat = np.empty((images, 1 + codes[0].size), dtype=word)
+    flat[:, 0] = 0
+    flat[:, 1:] = codes.reshape(images, -1)
+    return flat
 
 
 def _codes_fit(codes: np.ndarray, width: Optional[int]) -> bool:
@@ -513,7 +598,9 @@ class BatchedInference:
             self._wave_capable = False
         #: Per-layer host dataflow plans (tile parses + staging groups); for
         #: wave-capable backends this also pre-lowers every program to its
-        #: wave form, so no request pays the lowering cost.
+        #: wave form and plans its operand gather, so no request pays the
+        #: lowering or staging cost.
+        quantizer = QuantizationConfig(bits=bits, signed=signed)
         with telemetry.span(
             "host.plan",
             category="host",
@@ -526,6 +613,7 @@ class BatchedInference:
                     self._columns,
                     self.accelerator.config.technology,
                     self._wave_capable,
+                    quantizer,
                 )
                 for node in self.graph.nodes
             }
@@ -653,14 +741,15 @@ class BatchedInference:
         plan = self._node_plans[node.name]
         num_tiles = len(plan.tiles)
 
-        lowered = lower_batch_rows(codes, node.kernel_size, node.stride, node.padding)
-        with telemetry.span(
-            "host.stage", category="host", layer=node.name, images=num_images
-        ):
-            staged_groups = [
-                _stage_group(group, lowered, num_images) for group in plan.groups
-            ]
-        waves = self._wave_capable and _codes_fit(codes, plan.min_width)
+        waves = (
+            self._wave_capable
+            and codes.shape[1:] == plan.shape
+            and (plan.proven or _codes_fit(codes, plan.min_width))
+        )
+        #: The codes in each word dtype a wave group reads them in.
+        words: Dict[np.dtype, np.ndarray] = {}
+        #: Lowered on first use, by the first group no wave takes.
+        lowered: Optional[np.ndarray] = None
         batches: List[Tuple[_TileGroup, WaveBatch]] = []
         payloads = []
         #: ``(image, tile position, group)`` of each payload.
@@ -675,12 +764,16 @@ class BatchedInference:
             executor=self.executor.name,
             backend=str(self.backend),
         ):
-            for group, staged in zip(plan.groups, staged_groups):
+            for group in plan.groups:
+                tiles = len(group.tile_indices)
                 batch = None
                 if waves and group.wave:
+                    flat = words.get(group.word)
+                    if flat is None:
+                        flat = words[group.word] = _word_codes(codes, group.word)
                     batch = execute_program_wave(
                         group.tile.programs,
-                        staged,
+                        WaveGather(flat, group.index, tiles, group.rows),
                         rows=group.rows,
                         columns=self._columns,
                         technology=technology,
@@ -688,7 +781,14 @@ class BatchedInference:
                 if batch is not None:
                     batches.append((group, batch))
                     continue
-                tiles = len(group.tile_indices)
+                if lowered is None:
+                    lowered = lower_batch_rows(
+                        codes, node.kernel_size, node.stride, node.padding
+                    )
+                with telemetry.span(
+                    "host.stage", category="host", layer=node.name, images=num_images
+                ):
+                    staged = _stage_group(group, lowered, num_images)
                 for instance in range(staged.instances):
                     image, position = divmod(instance, tiles)
                     tile = plan.tiles[group.tile_indices[position]]

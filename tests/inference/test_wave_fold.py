@@ -8,7 +8,8 @@ several row tiles, and on a tile whose programs emit different output
 channels, every observable must equal the ``reference`` backend's and a
 run where every wave declines.  They also gate what a request no longer
 does: lower programs, build per-instance result objects, and account
-residency once per (image, tile).
+residency once per (image, tile).  The fold's narrow accumulator is held
+exact at its boundary.
 """
 
 import numpy as np
@@ -314,3 +315,40 @@ def test_residency_accounted_once_per_tile(vgg9_session, monkeypatch):
         event for event in tracer.events() if event.name == "accelerator.cold_dispatch"
     ]
     assert len(instants) == 3 * len(cold)
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "non-uniform"])
+@pytest.mark.parametrize(
+    "word, narrow", [(np.int8, np.int16), (np.int16, np.int32)], ids=["int8", "int16"]
+)
+def test_narrow_fold_exact_at_word_minimum(uniform, word, narrow):
+    """The fold sums in the narrowest accumulator that holds ``programs x
+    2**(bits - 1)``.  At the most programs it takes, outputs all at the word
+    minimum sum to exactly the accumulator's minimum and equal the int64
+    fold; one program more takes a wider accumulator."""
+    bits = 8 * np.dtype(word).itemsize
+    limit = (1 << (8 * np.dtype(narrow).itemsize - 1)) >> (bits - 1)
+    for programs, accumulator in ((limit, narrow), (limit + 1, None)):
+        # Non-uniform: every other program emits only channel 0, so channel
+        # 0 still sums one output of every program.
+        names_seq = [
+            ("y0", "y1") if uniform or program % 2 == 0 else ("y0",)
+            for program in range(programs)
+        ]
+        channels = np.array(
+            [int(name[1:]) for names in names_seq for name in names], dtype=np.intp
+        )
+        fold = engine._Fold(names_seq, channels)
+        chosen = fold.accumulator(np.dtype(word))
+        if accumulator is None:
+            assert chosen.itemsize > np.dtype(narrow).itemsize
+        else:
+            assert chosen == np.dtype(accumulator)
+        outputs = np.full((len(channels), 3, 2), np.iinfo(word).min, dtype=word)
+        expected = np.zeros((2, 3, 2), dtype=np.int64)
+        np.add.at(expected, channels, outputs.astype(np.int64))
+        if accumulator is not None:
+            assert int(expected.min()) == np.iinfo(accumulator).min
+        folded = fold(outputs)
+        assert folded.dtype == np.int64
+        assert np.array_equal(folded, expected)

@@ -153,7 +153,7 @@ def _chunk_peak(compiled, rows, columns, rng):
             for lowered in compiled
         ],
     )
-    operands = batched._block_operands(schedule, compiled, staged, rows)
+    operands = batched._word_loads(schedule, compiled, staged, rows)
     assert operands is not None
     gc.collect()
     tracemalloc.start()
