@@ -66,9 +66,14 @@ instance unless a caller indexes the batch.
 
 Equivalence contract (same as every backend, see :mod:`repro.ap.backends.base`):
 
-* **Results.**  A region read is a shift and an arithmetic shift back: the
+* **Results.**  A region read is a power-of-two multiply, which moves the
+  region's MSB to the word's top bit, and an arithmetic shift back: the
   sign extension replays the region's MSB exactly like
-  ``ColumnRegion.bit_position`` does for the controller.  Arithmetic is
+  ``ColumnRegion.bit_position`` does for the controller.  (Modular
+  multiplication by ``2**k`` is a left shift by ``k``; NumPy runs it in
+  vector loops on every word, but shifts ``uint8`` words left element by
+  element.  Loads, destination writes and the readout scale the same way.)
+  Arithmetic is
   ``b + a`` / ``b - a`` on the sign-extended words, the carry (borrow) into
   every bit position falls out of ``carries = a ^ b ^ result``, and writes
   are masked merges into the destination words.  The carry column is never
@@ -81,7 +86,13 @@ Equivalence contract (same as every backend, see :mod:`repro.ap.backends.base`):
   the bits whose rows that pass writes.  Per instruction the kernel records
   only the OR over rows of each pass word (the *fire words*) and the number
   of matched bits (``np.bitwise_count`` of the OR of the pass words, which
-  are disjoint), in the instruction's slot of the program sequence.  After
+  are disjoint), in the instruction's slot of the program sequence.  NumPy
+  reduces a short row axis element by element, so where a row vector spans
+  8 or 16 bytes (16 ``uint8`` rows, 4 or 8 ``uint16`` ones) and a group
+  holds enough of them, both reductions - and a copy's OR and AND - run on
+  the rows' ``uint64`` lanes: the lanes' OR folded by halving shifts, and
+  the sum of the lanes' popcounts (:func:`_reduce_rows`,
+  :func:`_count_rows`).  After
   each chunk, one replay derives ``write_phases`` and ``written_bits`` from
   those records, and replays the alignment events
   of the whole program sequence for ``lockstep_shift_steps``
@@ -162,13 +173,16 @@ _BLOCK_WORDS = 16384
 #: Byte budget of one wave chunk - block state, masked operand loads,
 #: minterm temporaries and output rows.  Instances beyond it run in
 #: equivalence-preserving chunks (instances are independent).  Swept on
-#: 96-image VGG-9 (width 1/16) requests, 2-vCPU host with 4 MiB of L2: with
-#: per-instance wave results 16 and 32 MiB were 5-18% slower than 8 MiB,
-#: and with a first form of batch results 4 MiB was 13-27% slower.  With
-#: batch results as they are, 4 alternating pairs of 26 s runs read 16 MiB
-#: about 7% faster (825 against 774 images/s, medians); the budget stays at
-#: 8 MiB until a sweep over every workload settles it.
-_WAVE_CHUNK_BYTES = 8 * 1024 * 1024
+#: 96-image VGG-9 (width 1/16) requests (``perfbench/run.py``, seed 71, 6
+#: alternating rounds of 26 s runs, 2-vCPU host with 4 MiB of L2), with
+#: lane reductions and power-of-two scales: 8 MiB (13 chunks per request)
+#: served 1386 images/s, 16 MiB (8 chunks) 1518 and 32 MiB (7 chunks, every
+#: wave whole) 1502 (medians); each larger budget beat 8 MiB in all 6
+#: rounds, and peak RSS read 74.85, 74.93 and 74.75 MB.  The 1-image
+#: ResNet-18 (base width 8) and 4-image VGG-9 requests fit one chunk at
+#: every budget.  (Earlier kernels preferred 8 MiB: with per-instance wave
+#: results 16 and 32 MiB were 5-18% slower.)
+_WAVE_CHUNK_BYTES = 32 * 1024 * 1024
 
 #: Most passes of any Table-I LUT: the width of one instruction's fire record.
 _MAX_PASSES = 5
@@ -182,6 +196,17 @@ _OPCODE_META: Dict[APOpcode, Tuple[bool, bool, Optional[str]]] = {
 
 #: ``_LOW[w]``: the low ``w`` bits set, for every width a word can hold.
 _LOW = np.array([(1 << width) - 1 for width in range(_WORD_BITS + 1)], np.uint64)
+
+#: ``_POW2[k]``: ``2**k`` modulo ``2**64``.  Cast to a word dtype it is the
+#: multiplier of a left shift by ``k`` (a count at or past the word's bits
+#: wraps to 0, like the shift): NumPy multiplies narrow words in vector
+#: loops but shifts ``uint8`` ones element by element.
+_POW2 = np.array([(1 << k) % (1 << _WORD_BITS) for k in range(_WORD_BITS + 1)], np.uint64)
+
+#: Fewest row vectors a row reduction must cover before it runs on
+#: ``uint64`` lanes (see :func:`_lanes`): below it, the fold's fixed cost
+#: exceeds what the lanes save.
+_LANE_MIN_VECTORS = 256
 
 #: Signed range of a ``w``-bit load, by width (the vectorized range check).
 _SIGNED_MIN = np.array(
@@ -716,14 +741,15 @@ def wave_staging_plan(
 class WaveGather:
     """A wave's operands as one gather from a layer's codes.
 
-    ``codes`` is an ``(images, 1 + features)`` array in the tile schedule's
-    word dtype: column 0 is zero (the id of every padding element) and
-    column ``1 + f`` holds each image's code of feature ``f`` as its two's
+    ``codes`` is a ``(1 + features, images)`` array in the tile schedule's
+    word dtype: row 0 is zero (the id of every padding element) and row
+    ``1 + f`` holds each image's code of feature ``f`` as its two's
     complement.  ``index[b]`` is lockstep block ``b``'s ``(loads, tiles,
     rows)`` array of feature ids, from :func:`wave_gather_index` at deploy.
     Instance ``i`` is image ``i // tiles`` on tile ``i % tiles``, and one
-    ``take`` per block lays out the block's loads.  No code is range-checked:
-    the caller vouches that every code fits every load width.
+    ``take`` per block lays out the block's loads; with images innermost,
+    each feature id it takes moves every image's code at once.  No code is
+    range-checked: the caller vouches that every code fits every load width.
     """
 
     __slots__ = ("codes", "index", "tiles", "rows")
@@ -737,7 +763,7 @@ class WaveGather:
         self.rows = rows
 
     def __len__(self) -> int:
-        return self.codes.shape[0] * self.tiles
+        return self.codes.shape[1] * self.tiles
 
 
 def wave_gather_index(
@@ -961,11 +987,12 @@ class _Schedule:
     int32/uint8 arrays with one entry per lowered record, in group order
     across all blocks (sources have two entries per record, see below).
     ``idx`` fields are flat word indices ``slice * columns + column`` into a
-    block's state; shifts (shaped ``(n, 1, 1)``) and widths are bytes.
+    block's state; shift counts (shaped ``(n, 1, 1)``) and widths are bytes.
     ``word`` is the state's unsigned dtype, fitted to the deepest domain
     the sequence touches (:func:`_word_dtype`), and ``signed`` its signed
     view; shifts are relative to its bit count.  Per block and run, the
-    kernel widens its span once - indices to ``intp``, shifts to the word
+    kernel widens its span once - indices to ``intp``, left shift counts to
+    power-of-two scales (:data:`_POW2`) and right shift counts to the word
     dtypes, widths to masks and keep words - so no group operation casts and
     a group slice broadcasts over ``(instances, rows)``.  ``groups`` is one
     ``(kind, first, stop, narrow)`` int32 row per group, its span relative
@@ -1543,9 +1570,9 @@ def _gathered_loads(
     schedule: "_Schedule", gather: WaveGather
 ) -> Optional[List[np.ndarray]]:
     """The kernel form of a :class:`WaveGather`: one ``take`` per block,
-    transposed to ``(loads, images x tiles, rows)``; ``None`` (declined)
-    when the codes are not in the schedule's word or an index does not fit
-    its block."""
+    copied transposed to ``(loads, images x tiles, rows)``; ``None``
+    (declined) when the codes are not in the schedule's word or an index
+    does not fit its block."""
     codes, tiles, rows = gather.codes, gather.tiles, gather.rows
     if (
         codes.ndim != 2
@@ -1560,8 +1587,10 @@ def _gathered_loads(
         if index.shape != (count, tiles, rows):
             _decline("invalid-input", form="gather")
             return None
-        taken = np.take(codes, index, axis=1)
-        loads.append(taken.transpose(1, 0, 2, 3).reshape(count, -1, rows))
+        taken = np.take(codes, index, axis=0)
+        loads.append(
+            np.ascontiguousarray(taken.transpose(0, 3, 1, 2)).reshape(count, -1, rows)
+        )
     return loads
 
 
@@ -1666,6 +1695,62 @@ def execute_program_wave(
     return batch
 
 
+def _lanes(words: np.ndarray) -> Optional[np.ndarray]:
+    """``words``' rows (its last axis) as one or two ``uint64`` lanes, or
+    ``None`` where a plain reduction is faster.
+
+    NumPy reduces a short last axis element by element, so a row reduction
+    over 8 or 16 bytes - 16 ``uint8`` rows, 4 or 8 ``uint16`` ones - costs
+    tens of times an elementwise pass; on lanes it becomes one or two
+    vectorized passes.  Below :data:`_LANE_MIN_VECTORS` row vectors the fixed
+    cost of the fold dominates, and rows of 32 bytes or more reduce fast
+    enough as they are.
+    """
+    if (
+        words.shape[-1] * words.itemsize in (8, 16)
+        and words.size >= _LANE_MIN_VECTORS * words.shape[-1]
+        and words.strides[-1] == words.itemsize
+    ):
+        return words.view(np.uint64)
+    return None
+
+
+def _reduce_rows(op: np.ufunc, words: np.ndarray) -> np.ndarray:
+    """``op.reduce(words, axis=-1)`` for ``op`` ``np.bitwise_or`` or
+    ``np.bitwise_and`` on unsigned words.
+
+    On lanes: ``op`` of the two lanes, then halving folds - ``x op (x >>
+    32)``, ``>> 16``, ``>> 8`` down to the word's bits - leave every row's
+    word combined in the low bits, which the cast to the word keeps.
+    """
+    lanes = _lanes(words)
+    if lanes is None:
+        return op.reduce(words, axis=-1)
+    folded = lanes[..., 0]
+    if lanes.shape[-1] == 2:
+        folded = op(folded, lanes[..., 1])
+    bits = 8 * words.itemsize
+    for shift in (32, 16, 8):
+        if shift < bits:
+            break
+        folded = op(folded, folded >> shift)
+    return folded.astype(words.dtype)
+
+
+def _count_rows(words: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """The set bits of every row vector: ``np.add.reduce(np.bitwise_count(
+    words), axis=-1, dtype=dtype)``, with the popcount of each lane instead
+    where :func:`_lanes` chooses them (exact in any dtype: a row vector
+    holds at most 128 bits)."""
+    lanes = _lanes(words)
+    if lanes is None:
+        return np.add.reduce(np.bitwise_count(words), axis=-1, dtype=dtype)
+    counts = np.bitwise_count(lanes)
+    if lanes.shape[-1] == 2:
+        return counts[..., 0] + counts[..., 1]
+    return counts[..., 0]
+
+
 def _load_block(
     state: np.ndarray,
     schedule: "_Schedule",
@@ -1677,7 +1762,8 @@ def _load_block(
 ) -> None:
     """Place one block's loads - a ``(loads, instances, rows)`` array in the
     schedule's word dtype - for instances ``[start, stop)``: one mask, one
-    shift and one scatter per load round."""
+    power-of-two scale (the shift to the load's offset) and one scatter per
+    load round."""
     if not len(loads):
         return
     if stop - start != total:
@@ -1685,10 +1771,10 @@ def _load_block(
     first, last = block.loads
     unsigned = schedule.word
     low = _LOW[schedule.l_width[first:last]].astype(unsigned).reshape(-1, 1, 1)
-    offsets = schedule.l_offset[first:last].astype(unsigned)
+    scales = _POW2[schedule.l_offset[first:last]].astype(unsigned)
     bits = loads & low
-    bits <<= offsets
-    keep = ~(low << offsets)
+    bits *= scales
+    keep = ~(low * scales)
     words = schedule.l_idx[first:last].astype(np.intp)
     for chosen in block.rounds or (slice(None),):
         targets = words[chosen]
@@ -1717,24 +1803,24 @@ def _run_groups(
     ``count_dtype`` (:meth:`_Schedule.count_dtype`).  Everything else a
     counter needs is static (see :func:`_replay`).
     """
-    bitwise_or_reduce = np.bitwise_or.reduce
     s = schedule
     unsigned, signed = s.word, s.signed
     first, last = block.groups
     records = slice(*block.records)
     sources = slice(2 * block.records[0], 2 * block.records[1])
-    # Widen the block's compact fields once (indices to intp, shifts and
-    # masks to the word dtypes, so no group operation casts) and slice every
-    # per-record field to the block, so group spans index them directly.
+    # Widen the block's compact fields once (indices to intp, left shifts to
+    # power-of-two scales and right shifts and masks to the word dtypes, so
+    # no group operation casts) and slice every per-record field to the
+    # block, so group spans index them directly.
     src_idx = s.src_idx[sources].astype(np.intp)
-    src_left = s.src_left[sources].astype(unsigned)
+    src_scale = _POW2[s.src_left[sources]].astype(unsigned)
     src_right = s.src_right[sources].astype(signed)
     t_idx = s.t_idx[records].astype(np.intp)
     slot = s.slot[records].astype(np.intp)
-    shifts = s.t_shift[records].astype(unsigned)
+    scales = _POW2[s.t_shift[records]].astype(unsigned)
     masks = _LOW[s.width[records]].astype(signed).reshape(-1, 1, 1)
     # Each destination word keeps every domain outside its cleared region.
-    keeps = ~(_LOW[s.t_width[records]].astype(unsigned).reshape(-1, 1, 1) << shifts)
+    keeps = ~(_LOW[s.t_width[records]].astype(unsigned).reshape(-1, 1, 1) * scales)
     narrows = s.t_narrow[records] if s.t_narrow is not None else None
     # Per record: its LUT's pass flips, its width mask on the LUT's real
     # passes (empty on padded ones) and its add/sub sign.
@@ -1760,18 +1846,18 @@ def _run_groups(
         if kind == _COPY:
             span = slice(2 * lo, lo + hi)
             value = state[src_idx[span]]
-            value <<= src_left[span]
+            value *= src_scale[span]
             value = value.view(signed)
             value >>= src_right[span]
             # Fire words are stored zero-extended.
-            fires[0, slots] = bitwise_or_reduce(value, axis=2).view(unsigned)
-            fires[1, slots] = np.bitwise_and.reduce(value, axis=2).view(unsigned)
+            fires[0, slots] = _reduce_rows(np.bitwise_or, value.view(unsigned))
+            fires[1, slots] = _reduce_rows(np.bitwise_and, value.view(unsigned))
             value &= mask
             bits = value.view(unsigned)
         else:
             span = slice(2 * lo, 2 * hi)
             words = state[src_idx[span]]
-            words <<= src_left[span]
+            words *= src_scale[span]
             values = words.view(signed)
             values >>= src_right[span]
             b = values[: hi - lo]
@@ -1787,24 +1873,22 @@ def _run_groups(
             minterms &= a ^ flip_a[:, lo:hi]
             minterms &= pass_masks[:, lo:hi]
             minterms = minterms.view(unsigned)
-            fires[:, slots] = bitwise_or_reduce(minterms, axis=3)
+            fires[:, slots] = _reduce_rows(np.bitwise_or, minterms)
             # Each state fires at most one pass, so the passes' minterms are
             # disjoint: their OR holds every matched bit once.
-            fired = bitwise_or_reduce(minterms, axis=0)
-            counts[slots] = np.add.reduce(
-                np.bitwise_count(fired), axis=2, dtype=count_dtype
-            )
+            fired = np.bitwise_or.reduce(minterms, axis=0)
+            counts[slots] = _count_rows(fired, count_dtype)
             result &= mask
             bits = result.view(unsigned)
         word = state[targets]
         if narrow:
             # Above a narrow extra destination's own width, rows whose state
             # fires no pass keep their bits: clear only the fired ones.
-            fired <<= shifts[lo:hi]
+            fired *= scales[lo:hi]
             fired &= narrows[lo:hi]
             word &= ~fired
         word &= keeps[lo:hi]
-        bits <<= shifts[lo:hi]
+        bits *= scales[lo:hi]
         word |= bits
         state[targets] = word
 
@@ -1814,14 +1898,17 @@ def _read_block(
 ) -> None:
     """One gather reads every output of the block into its rows of
     ``outputs``, a chunk's ``(outputs, instances, rows)`` view in the
-    schedule's signed word dtype."""
+    schedule's signed word dtype: the gathered words' power-of-two scales
+    land in ``outputs`` and shift back from there."""
     first, last = block.outputs
     if first == last:
         return
     values = outputs[first:last]
-    words = values.view(schedule.word)
-    np.take(state, schedule.r_idx[first:last], axis=0, out=words, mode="clip")
-    words <<= schedule.r_left[first:last].astype(schedule.word)
+    np.multiply(
+        state[schedule.r_idx[first:last]],
+        _POW2[schedule.r_left[first:last]].astype(schedule.word),
+        out=values.view(schedule.word),
+    )
     values >>= schedule.r_right[first:last].astype(schedule.signed)
     if schedule.r_sign is not None:
         values *= schedule.r_sign[first:last].astype(schedule.signed)

@@ -421,13 +421,13 @@ def _stage_group(
 
 
 def _word_codes(codes: np.ndarray, word: np.dtype) -> np.ndarray:
-    """A layer's ``(images, ...)`` codes as the zero-led ``(images, 1 +
-    features)`` array a :class:`WaveGather` reads, in ``word``: column 0 is
-    the padding id's zero, and each code wraps to its two's complement."""
+    """A layer's ``(images, ...)`` codes as the zero-led ``(1 + features,
+    images)`` array a :class:`WaveGather` reads, in ``word``: row 0 is the
+    padding id's zero, and each code wraps to its two's complement."""
     images = codes.shape[0]
-    flat = np.empty((images, 1 + codes[0].size), dtype=word)
-    flat[:, 0] = 0
-    flat[:, 1:] = codes.reshape(images, -1)
+    flat = np.empty((1 + codes[0].size, images), dtype=word)
+    flat[0] = 0
+    flat[1:] = codes.reshape(images, -1).T
     return flat
 
 

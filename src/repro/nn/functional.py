@@ -83,8 +83,26 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def max_pool2d(x: np.ndarray, kernel_size: int, stride: Optional[int] = None) -> np.ndarray:
-    """Max pooling over non-overlapping (or strided) windows of a ``(N, C, H, W)`` input."""
+    """Max pooling over non-overlapping (or strided) windows of a ``(N, C, H, W)`` input.
+
+    Windows of at most 2x2 that tile the input exactly (``stride ==
+    kernel_size <= 2`` dividing ``H`` and ``W``) fold their strided views
+    with ``np.maximum``, in each window's row-major order: byte-identical to the
+    window loop's ``np.max``, which keeps the later of two equal values
+    (``-0.0`` against ``0.0``) the same way.  On wider float64 windows
+    ``np.max`` reduces in an order of its own, so those keep the loop.
+    """
     stride = stride or kernel_size
+    if x.ndim == 4 and stride == kernel_size <= 2:
+        out_h = conv_output_size(x.shape[2], kernel_size, stride, 0)
+        out_w = conv_output_size(x.shape[3], kernel_size, stride, 0)
+        if (out_h * stride, out_w * stride) == x.shape[2:]:
+            output = x[:, :, ::stride, ::stride].copy()
+            for i in range(kernel_size):
+                for j in range(kernel_size):
+                    if i or j:
+                        np.maximum(output, x[:, :, i::stride, j::stride], out=output)
+            return output
     return _pool2d(x, kernel_size, stride, reducer=np.max)
 
 

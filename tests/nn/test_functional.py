@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ModelDefinitionError
 from repro.nn import functional as F
@@ -72,6 +74,31 @@ class TestActivationsAndPooling:
         x = np.arange(25, dtype=float).reshape(1, 1, 5, 5)
         out = F.max_pool2d(x, 3, stride=2)
         assert out.shape == (1, 1, 2, 2)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64])
+    @pytest.mark.parametrize("stride", [None, 1, 2, 3])
+    @pytest.mark.parametrize("kernel", [1, 2, 3])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        shape=st.tuples(
+            st.integers(1, 4), st.integers(1, 32), st.integers(1, 6), st.integers(1, 6)
+        ),
+        extra=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_max_pool_equals_window_loop(self, kernel, stride, shape, extra, dtype, seed):
+        """Byte-equal to the window loop on every shape: ties of ``-0.0``
+        and ``0.0``, infinities, and inputs that 2x2 windows tile or not."""
+        batch, channels, rows, columns = shape
+        size = (batch, channels, rows * kernel + extra[0], columns * kernel + extra[1])
+        values = np.array([-0.0, 0.0, -0.0, 0.0, 1.0, -1.0, np.inf, -np.inf])
+        if dtype is np.int64:
+            values = np.array([0, 1, -1, 7])
+        x = np.random.default_rng(seed).choice(values, size=size).astype(dtype)
+        expected = F._pool2d(x, kernel, stride or kernel, reducer=np.max)
+        got = F.max_pool2d(x, kernel, stride)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
     def test_global_avg_pool(self, rng):
         x = rng.normal(size=(2, 3, 4, 4))
