@@ -1,4 +1,4 @@
-"""Execution-backend comparison: vectorized vs. reference interpreter.
+"""Execution-backend comparison: batched vs. reference interpreter.
 
 The ROADMAP's "fast as the hardware allows" goal hinges on the functional
 simulator not being the bottleneck of benchmark and eval runs.  This
@@ -6,7 +6,8 @@ benchmark runs one randomized AP workload (the kind every functional eval is
 made of: add/sub/copy/clear streams over 256 SIMD rows) on every registered
 execution backend and checks the two contract points of the subsystem:
 
-* the ``vectorized`` backend is at least 3x faster than ``reference``, and
+* the ``batched`` backend's per-instruction path is at least 3x faster
+  than ``reference``, and
 * outputs, final CAM state and every CAMStats counter are byte-identical,
   so energy/latency numbers (Table II, Fig. 4) never depend on the backend.
 """
@@ -26,7 +27,7 @@ ROWS = 256
 COLUMNS = 32
 INSTRUCTIONS = 120
 
-#: Minimum reference/vectorized runtime ratio accepted by the gate.
+#: Minimum reference/batched runtime ratio accepted by the gate.
 REQUIRED_SPEEDUP = 3.0
 
 
@@ -86,8 +87,7 @@ def test_backend_speedup(benchmark, save_report, ap_backend, ap_seed):
         "backends",
         text,
         data={
-            "vectorized_speedup": reference.duration_s
-            / runs["vectorized"].duration_s,
+            "batched_speedup": reference.duration_s / runs["batched"].duration_s,
             **{
                 f"{name}_runtime_ms": run.duration_s * 1e3
                 for name, run in runs.items()
@@ -99,8 +99,8 @@ def test_backend_speedup(benchmark, save_report, ap_backend, ap_seed):
     phase_counts = {run.stats.total_phases for run in runs.values()}
     assert len(phase_counts) == 1, f"event counts diverged: {phase_counts}"
 
-    speedup = reference.duration_s / runs["vectorized"].duration_s
+    speedup = reference.duration_s / runs["batched"].duration_s
     assert speedup >= REQUIRED_SPEEDUP, (
-        f"vectorized backend is only {speedup:.2f}x faster than reference "
+        f"batched backend is only {speedup:.2f}x faster than reference "
         f"(required: {REQUIRED_SPEEDUP}x)"
     )

@@ -4,8 +4,8 @@ The runtime's contract (see ``src/repro/runtime/``) has two halves:
 
 * **Determinism** - ``execute_plan`` produces byte-identical aggregated
   :class:`~repro.cam.stats.CAMStats` (and output checksums) for the
-  ``serial`` and ``parallel``/``thread`` executors and for the ``reference``
-  and ``vectorized`` backends, on a small-vgg9 plan.
+  ``serial`` and ``parallel`` executors and for the ``reference`` and
+  ``batched`` backends, on a small-vgg9 plan.
 * **Speed** - the ``parallel`` (process-pool) executor is at least 2x faster
   than ``serial`` wall-clock on >= 4 workers for the Python-heavy
   ``reference`` backend.  The gate skips on hosts with fewer than 4 CPUs
@@ -56,11 +56,10 @@ def _execute(plan, executor, backend, workers=None):
     return execution, time.perf_counter() - started
 
 
-@pytest.mark.parametrize("executor", ["parallel", "thread"])
-def test_executor_equivalence_on_vgg9(vgg9_plan, executor):
+def test_executor_equivalence_on_vgg9(vgg9_plan):
     """Serial and pooled executors agree counter-for-counter."""
-    serial, _ = _execute(vgg9_plan, "serial", "vectorized")
-    pooled, _ = _execute(vgg9_plan, executor, "vectorized", workers=2)
+    serial, _ = _execute(vgg9_plan, "serial", "batched")
+    pooled, _ = _execute(vgg9_plan, "parallel", "batched", workers=2)
     assert serial.total_stats == pooled.total_stats
     assert serial.checksum == pooled.checksum
     for left, right in zip(serial.layers, pooled.layers):
@@ -69,85 +68,58 @@ def test_executor_equivalence_on_vgg9(vgg9_plan, executor):
 
 def test_backend_equivalence_on_vgg9(vgg9_plan):
     """All registered backends agree counter-for-counter."""
-    vectorized, _ = _execute(vgg9_plan, "serial", "vectorized")
-    for backend in ("reference", "batched"):
-        other, _ = _execute(vgg9_plan, "serial", backend)
-        assert vectorized.total_stats == other.total_stats, backend
-        assert vectorized.checksum == other.checksum, backend
+    batched, _ = _execute(vgg9_plan, "serial", "batched")
+    reference, _ = _execute(vgg9_plan, "serial", "reference")
+    assert batched.total_stats == reference.total_stats
+    assert batched.checksum == reference.checksum
 
 
 def test_layer_crosscheck_on_vgg9(vgg9_plan):
     """The analytic cost model envelopes the functional layer counters."""
     from repro.perf.model import crosscheck_execution
 
-    execution, _ = _execute(vgg9_plan, "serial", "vectorized")
+    execution, _ = _execute(vgg9_plan, "serial", "batched")
     check = crosscheck_execution(vgg9_plan, execution)
     assert check.consistent, check.describe()
-
-
-#: Why the thread executor never joins the speedup gate: CPython's GIL lets
-#: only one thread run Python bytecode at a time, and the reference backend is
-#: pure bytecode, so ``thread`` tops out near 1x at any worker count.  It
-#: exists for workloads that release the GIL (NumPy kernels, blocking I/O);
-#: process pools are the scaling path for the interpreter-heavy backends.
-THREAD_GIL_NOTE = (
-    "note: ThreadExecutor is GIL-bound on the reference backend (pure Python "
-    "bytecode) - its speedup ceiling is ~1x regardless of workers; use the "
-    "process pool for interpreter-heavy scaling"
-)
 
 
 @pytest.mark.skipif(
     (os.cpu_count() or 1) < GATE_WORKERS,
     reason=f"parallel speedup gate needs >= {GATE_WORKERS} CPUs",
 )
-def test_parallel_speedup(vgg9_plan, save_report, ap_backend):
+def test_parallel_speedup(vgg9_plan, save_report):
     """The process-pool executor must be >= 2x faster on >= 4 workers.
 
     Measured on the ``reference`` backend, whose per-tile cost is dominated
     by Python bytecode: that is the workload the parallel executor exists
-    for, and the one where the GIL makes threads useless (see
-    ``THREAD_GIL_NOTE``).  Under ``--ap-backend=batched`` the gate skips:
-    that backend executes whole layers as single NumPy mega-kernel waves on
-    the driver thread, so a pool-vs-serial wall-clock ratio no longer
-    measures the executor at all.
+    for.  The synthetic plan runs tile by tile whatever ``--ap-backend``
+    selects, so the gate runs under every backend option.
     """
-    if ap_backend == "batched":
-        pytest.skip(
-            "serial-vs-pool speedup is meaningless under the batched backend: "
-            "layers run as single mega-kernel waves, not per-tile pool tasks"
-        )
     serial, serial_s = _execute(vgg9_plan, "serial", "reference")
     parallel, parallel_s = _execute(
         vgg9_plan, "parallel", "reference", workers=GATE_WORKERS
     )
-    thread, thread_s = _execute(vgg9_plan, "thread", "reference", workers=GATE_WORKERS)
     assert serial.total_stats == parallel.total_stats
-    assert serial.total_stats == thread.total_stats
     speedup = serial_s / max(parallel_s, 1e-9)
-    thread_speedup = serial_s / max(thread_s, 1e-9)
 
     text = format_table(
         ["executor", "workers", "wall (s)", "speedup"],
         [
             ["serial", 1, f"{serial_s:.2f}", "1.00x"],
             ["parallel", GATE_WORKERS, f"{parallel_s:.2f}", f"{speedup:.2f}x"],
-            ["thread", GATE_WORKERS, f"{thread_s:.2f}", f"{thread_speedup:.2f}x"],
         ],
         title=(
             f"runtime executors: vgg9 plan, {vgg9_plan.num_tiles} tiles, "
             f"{vgg9_plan.num_instructions} instructions (reference backend)"
         ),
-    ) + "\n" + THREAD_GIL_NOTE
+    )
     save_report(
         "runtime",
         text,
         data={
             "serial_wall_s": serial_s,
             "parallel_wall_s": parallel_s,
-            "thread_wall_s": thread_s,
             "speedup": speedup,
-            "thread_speedup": thread_speedup,
             "workers": GATE_WORKERS,
             "required_speedup": REQUIRED_SPEEDUP,
         },

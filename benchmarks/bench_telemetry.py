@@ -29,7 +29,8 @@ from repro.eval.reporting import format_table
 from repro.nn.models.vgg import build_vgg9
 from repro.session import Session
 
-WORKERS = 4
+#: CPUs the request overlap witness needs.
+OVERLAP_CPUS = 4
 IMAGES = 4
 WIDTH = 1 / 16
 INPUT_SHAPE = (3, 32, 32)
@@ -41,8 +42,8 @@ MAX_DISABLED_OVERHEAD = 0.05
 MICRO_ITERATIONS = 200_000
 
 requires_cpus = pytest.mark.skipif(
-    (os.cpu_count() or 1) < WORKERS,
-    reason=f"trace overlap witness needs >= {WORKERS} CPUs",
+    (os.cpu_count() or 1) < OVERLAP_CPUS,
+    reason=f"trace overlap witness needs >= {OVERLAP_CPUS} CPUs",
 )
 
 
@@ -66,8 +67,7 @@ def _serve(narrow_vgg9, images, *, trace: bool):
         input_shape=INPUT_SHAPE,
         bits=4,
         backend="batched",
-        executor="thread",
-        workers=WORKERS,
+        executor="serial",
         name="vgg9-wave",
         trace=trace,
     ) as session:
@@ -139,7 +139,7 @@ def test_disabled_overhead_under_five_percent(
         ],
         title=(
             f"telemetry overhead: vgg9 at width x{WIDTH}, {IMAGES} images, "
-            f"thread executor x{WORKERS}, batched backend"
+            "serial executor, batched backend"
         ),
     )
     save_report(
@@ -147,7 +147,7 @@ def test_disabled_overhead_under_five_percent(
         text,
         data={
             "images": IMAGES,
-            "workers": WORKERS,
+            "workers": 1,
             "untraced_wall_s": untraced_wall,
             "traced_wall_s": traced_wall,
             "events_recorded": site_visits,
@@ -157,7 +157,7 @@ def test_disabled_overhead_under_five_percent(
             "traced_equals_untraced": True,
         },
         ap_backend="batched",
-        workers=WORKERS,
+        workers=1,
         model_width=WIDTH,
     )
 
@@ -175,8 +175,6 @@ def test_trace_shows_pipeline_overlap(narrow_vgg9, image_batch, tmp_path):
         model=narrow_vgg9,
         input_shape=INPUT_SHAPE,
         bits=4,
-        executor="thread",
-        workers=WORKERS,
         concurrency=4,
         name="vgg9-wave",
         trace=str(out),

@@ -119,7 +119,7 @@ def _save_report(
     which AP execution backend, how many executor workers, and the model
     width multiplier (1.0 = the paper's full-width network).  They land in a
     ``context`` object in the JSON so trend tooling can split series by
-    configuration instead of mixing, say, vectorized and batched numbers.
+    configuration instead of mixing, say, reference and batched numbers.
     """
     OUTPUT_DIRECTORY.mkdir(parents=True, exist_ok=True)
     path = OUTPUT_DIRECTORY / f"{name}.txt"

@@ -8,10 +8,10 @@ event counts (search/write phases, shifts) the execution needed.
 
 Run with::
 
-    python examples/ap_microbenchmark.py [--backend reference|vectorized]
+    python examples/ap_microbenchmark.py [--backend reference|batched]
 
 Both execution backends produce the same bit-exact result and the same event
-counts; ``--backend vectorized`` just gets there faster.
+counts; ``--backend batched`` just gets there faster.
 """
 
 import argparse

@@ -33,7 +33,7 @@ def main() -> None:
     parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     parser.add_argument("--backend", default="reference",
                         help="AP backend (reference shows the largest "
-                             "parallel gains; vectorized is fastest overall)")
+                             "parallel gains; batched is fastest overall)")
     arguments = parser.parse_args()
 
     specs = specs_for_network(arguments.model, rng=0)

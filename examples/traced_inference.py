@@ -44,7 +44,6 @@ def main() -> None:
     parser.add_argument("--images", type=int, default=2,
                         help="synthetic images per request")
     parser.add_argument("--bits", type=int, default=4)
-    parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--trace", default="traced_inference.json",
                         help="Chrome-trace output path")
     arguments = parser.parse_args()
@@ -54,8 +53,6 @@ def main() -> None:
         model=arguments.model,
         width=arguments.width,
         bits=arguments.bits,
-        executor="thread",
-        workers=arguments.workers,
         concurrency=max(2, arguments.requests),
         trace=arguments.trace,  # install tracer + write the file on close
         metrics=True,

@@ -15,7 +15,7 @@ Public pieces:
 * :mod:`repro.ap.core` - the functional AP that executes programs on a
   :class:`~repro.cam.array.CAMArray` and produces bit-exact results.
 * :mod:`repro.ap.backends` - pluggable execution backends: the bit-exact
-  ``reference`` interpreter and the ``vectorized`` NumPy engine, both
+  ``reference`` interpreter and the ``batched`` NumPy engine, both
   producing identical results and identical event counters.
 """
 
@@ -35,7 +35,6 @@ from repro.ap.backends import (
     DEFAULT_BACKEND,
     ExecutionBackend,
     ReferenceBackend,
-    VectorizedBackend,
     available_backends,
     register_backend,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "ExecutionBackend",
     "ReferenceBackend",
-    "VectorizedBackend",
     "available_backends",
     "register_backend",
 ]

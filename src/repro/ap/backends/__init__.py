@@ -7,23 +7,19 @@ state *and* :class:`~repro.cam.stats.CAMStats` event counters (see
 
     from repro import AssociativeProcessor
 
-    ap = AssociativeProcessor(rows=256, columns=64, backend="vectorized")
+    ap = AssociativeProcessor(rows=256, columns=64, backend="batched")
 
 Available backends:
 
 * ``reference`` - bit-exact masked-search / tagged-write interpreter (the
   hardware algorithm, pass by pass).  The semantic ground truth.
-* ``vectorized`` - word-parallel x bit-parallel NumPy execution with
-  analytic event accounting; typically an order of magnitude faster.
-  The default.
-* ``batched`` - the vectorized semantics plus whole-layer *wave* execution
+* ``batched`` - word-parallel x bit-parallel NumPy execution with analytic
+  event accounting per instruction, plus whole-layer *wave* execution
   (:func:`repro.ap.backends.batched.execute_program_wave`): the inference
   engine stacks every (image, row tile) instance of a layer as packed
   nanowire words and evaluates the shared instruction stream once, the
   tile's slice programs side by side in lockstep - one batch of NumPy
-  calls per group of instructions for the whole layer.  The fastest
-  choice for batched inference; per-instruction behaviour is identical to
-  ``vectorized``.
+  calls per group of instructions for the whole layer.  The default.
 
 The default can be overridden with the ``REPRO_AP_BACKEND`` environment
 variable (CI uses ``REPRO_AP_BACKEND=reference`` to run the whole suite on
@@ -37,9 +33,12 @@ import os
 from typing import Dict, List, Type, Union
 
 from repro.ap.backends.base import ExecutionBackend
-from repro.ap.backends.batched import BatchedBackend, execute_program_wave
+from repro.ap.backends.batched import (
+    BatchedBackend,
+    execute_program_wave,
+    lut_truth_matrix,
+)
 from repro.ap.backends.reference import ReferenceBackend
-from repro.ap.backends.vectorized import VectorizedBackend, lut_truth_matrix
 from repro.cam.array import CAMArray
 from repro.errors import ConfigurationError
 
@@ -64,7 +63,6 @@ def register_backend(backend_class: Type[ExecutionBackend]) -> Type[ExecutionBac
 
 
 register_backend(ReferenceBackend)
-register_backend(VectorizedBackend)
 register_backend(BatchedBackend)
 
 #: Environment variable overriding the default backend choice.
@@ -76,12 +74,12 @@ def _default_backend() -> str:
 
     Backends are byte-identical in outputs, stored state and event counters
     (enforced by the equivalence suite), so the default is the fast
-    ``vectorized`` implementation; ``reference`` remains the ground truth
-    and can be forced globally through the environment.
+    ``batched`` implementation; ``reference`` remains the ground truth and
+    can be forced globally through the environment.
     """
     name = os.environ.get(BACKEND_ENV_VARIABLE, "").strip()
     if not name:
-        return VectorizedBackend.name
+        return BatchedBackend.name
     if name not in _BACKENDS:
         raise ConfigurationError(
             f"{BACKEND_ENV_VARIABLE}={name!r} is not a registered execution "
@@ -126,7 +124,6 @@ def create_backend(
 __all__ = [
     "ExecutionBackend",
     "ReferenceBackend",
-    "VectorizedBackend",
     "BatchedBackend",
     "execute_program_wave",
     "BackendSpec",

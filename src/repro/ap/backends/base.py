@@ -8,21 +8,19 @@ event counters in exactly the state the bit-serial hardware would - only how
 those results are computed may differ.  This is what keeps the energy/latency
 accounting (Table II, Fig. 4) independent of simulation speed.
 
-Three backends ship with the library:
+Two backends ship with the library:
 
 * ``reference`` (:class:`~repro.ap.backends.reference.ReferenceBackend`) -
   the bit-exact masked-search / tagged-write interpreter.  Every LUT pass is
   simulated as the hardware performs it; events are counted as they happen.
-* ``vectorized`` (:class:`~repro.ap.backends.vectorized.VectorizedBackend`) -
-  a NumPy backend that computes each instruction word-parallel across rows
+* ``batched`` (:class:`~repro.ap.backends.batched.BatchedBackend`) - a
+  NumPy backend that computes each instruction word-parallel across rows
   and bit-parallel across positions, then charges the exact same events
-  analytically from precomputed per-LUT truth tensors.
-* ``batched`` (:class:`~repro.ap.backends.batched.BatchedBackend`) - the
-  vectorized semantics plus a layer-level *wave* entry point
-  (:func:`~repro.ap.backends.batched.execute_program_wave`): all (image, row
-  tile) instances of one layer are stacked as packed nanowire words and the
-  shared instruction stream is evaluated once across the whole wave, with
-  per-instance counters replayed from per-instruction fire words.
+  analytically from precomputed per-LUT truth tensors.  Its layer-level
+  *wave* entry point (:func:`~repro.ap.backends.batched.execute_program_wave`)
+  stacks all (image, row tile) instances of one layer as packed nanowire
+  words and evaluates the shared instruction stream once across the whole
+  wave, with per-instance counters replayed from per-instruction fire words.
 """
 
 from __future__ import annotations

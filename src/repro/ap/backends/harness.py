@@ -265,7 +265,7 @@ def compare_backends(
     rows: int,
     columns: int,
     baseline: str = "reference",
-    candidate: str = "vectorized",
+    candidate: str = "batched",
     technology: Optional[RTMTechnology] = None,
 ) -> BackendComparison:
     """Run a program on two backends and compare every observable."""

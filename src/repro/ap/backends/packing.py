@@ -2,7 +2,7 @@
 
 Conversions between two operand representations: signed integer *words*
 (what programs load and read) and *bit planes* (the CAM's ``0/1`` cells,
-least-significant bit first).  The vectorized backend takes its shift
+least-significant bit first).  The batched backend takes its shift
 vectors from here and the bit-plane host lowering
 (:func:`repro.inference.activations.lower_batch_planes`) its unpack:
 

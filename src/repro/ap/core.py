@@ -10,7 +10,7 @@ quantized software reference.
 Instruction semantics are provided by a pluggable execution backend
 (:mod:`repro.ap.backends`).  The ``reference`` backend interprets the
 masked-search / tagged-write passes of the Table-I LUTs exactly as the
-hardware sequences them; the default ``vectorized`` backend computes the
+hardware sequences them; the default ``batched`` backend computes the
 same results word-parallel across rows and bit-parallel per LUT pass while
 charging identical :class:`~repro.cam.stats.CAMStats` event counts, so
 energy/latency numbers never depend on the backend choice.
@@ -35,7 +35,7 @@ class AssociativeProcessor:
 
     Instruction semantics live in a pluggable execution backend (see
     :mod:`repro.ap.backends`): the ``reference`` backend interprets every
-    masked-search/tagged-write pass, while the default ``vectorized`` backend
+    masked-search/tagged-write pass, while the default ``batched`` backend
     computes the same results word-parallel with identical event accounting.
 
     Args:
@@ -43,7 +43,7 @@ class AssociativeProcessor:
         columns: CAM columns (operand registers).
         technology: RTM figures of merit.
         carry_column: column reserved for the carry/borrow bit.
-        backend: execution backend name (``"reference"``/``"vectorized"``)
+        backend: execution backend name (``"reference"``/``"batched"``)
             or an :class:`~repro.ap.backends.ExecutionBackend` subclass.
     """
 

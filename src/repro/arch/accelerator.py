@@ -208,6 +208,7 @@ class Accelerator:
     ) -> None:
         self.config = config or ArchitectureConfig()
         self.interconnect = interconnect or InterconnectModel.from_architecture(self.config)
+        resolve_backend(backend)  # an unknown name raises here, not at first lease
         self.backend = backend
         self.banks: List[Bank] = [
             Bank(
@@ -590,8 +591,7 @@ class Accelerator:
 
         Args:
             plan: output of :func:`repro.runtime.plan.build_execution_plan`.
-            executor: ``"serial"``, ``"parallel"`` (process pool) or
-                ``"thread"``.
+            executor: ``"serial"`` or ``"parallel"`` (process pool).
             workers: pool size for parallel executors (default: CPU count).
             backend: execution backend override; defaults to the
                 accelerator's backend.

@@ -104,8 +104,8 @@ class CAMArray:
         Equivalent to calling :meth:`align` for every position of a
         non-decreasing sequence starting at ``first`` and ending at ``last``
         (the access pattern of bit-serial execution), but in O(1): the step
-        count is ``|first - port| + (last - first)``.  Used by vectorized
-        backends to charge shift events without replaying every position.
+        count is ``|first - port| + (last - first)``.  Used by the batched
+        backend to charge shift events without replaying every position.
 
         Returns the number of lockstep shift steps performed.
         """

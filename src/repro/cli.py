@@ -1003,8 +1003,9 @@ def _run_apbench(arguments: argparse.Namespace) -> str:
         # The benchmark runs already captured outputs, stats and final CAM
         # state per backend; cross-validate those snapshots directly.
         verdicts = [
-            compare_runs(runs[backends[0]], runs[candidate]).describe()
-            for candidate in backends[1:]
+            compare_runs(baseline, run).describe()
+            for run in runs.values()
+            if run is not baseline
         ]
         lines.append("cross-validation: " + "; ".join(verdicts))
     return "\n".join(lines)

@@ -27,14 +27,16 @@ the layer epilogue reduces as a whole: the outputs fold over the program
 axis in the narrowest exact accumulator and add into the layer accumulator
 once per tile position, the counters fill an ``(images, tiles, 8)`` matrix
 for :func:`~repro.runtime.scheduler.aggregate_layer_run`, and residency is
-accounted once per tile.  Instances no wave takes - backends without wave
-support (``reference``, ``vectorized``), codes wider than the narrowest
-load width, a declined wave - lower lazily through ``lower_batch_rows``
-and :func:`_stage_group` and go to the executor in one order-preserving
-:meth:`~repro.runtime.executors.Executor.map_layer` call per layer, and
-reduce one by one.  Both routes produce the same outputs, checksums and
-:class:`~repro.cam.stats.CAMStats`, so every backend and executor is
-byte-identical.
+accounted once per tile.  Instances no wave takes - the ``reference``
+backend, codes wider than the narrowest load width, a declined wave -
+lower lazily through ``lower_batch_rows`` and :func:`_stage_group` and go
+to the executor in one order-preserving
+:meth:`~repro.runtime.executors.Executor.map_layer` call per layer.  A
+group falls back as a whole, so its per-instance results stack into the
+same ``(outputs, instances, rows)`` and ``(instances, 8)`` arrays as a
+wave's and reduce through the same epilogue.  Both routes produce the same
+outputs, checksums and :class:`~repro.cam.stats.CAMStats`, so every backend
+and executor is byte-identical.
 
 A run is request-scoped: its activation store and per-layer counters live in
 one :class:`_Request` bound to the calling thread, so overlapping requests
@@ -58,7 +60,6 @@ from repro import telemetry
 from repro.ap.backends import resolve_backend
 from repro.ap.backends.batched import (
     StagedWaveInputs,
-    WaveBatch,
     WaveGather,
     execute_program_wave,
     wave_gather_index,
@@ -68,12 +69,7 @@ from repro.ap.core import AssociativeProcessor
 from repro.arch.accelerator import Accelerator
 from repro.cam.stats import COUNTER_FIELDS, CAMStats
 from repro.core.compiler import CompilerConfig, compile_model
-from repro.errors import (
-    CapacityError,
-    ConfigurationError,
-    ModelDefinitionError,
-    SimulationError,
-)
+from repro.errors import CapacityError, ModelDefinitionError, SimulationError
 from repro.inference.activations import (
     ActivationStore,
     dequantize_batch,
@@ -420,6 +416,28 @@ def _stage_group(
     return StagedWaveInputs(instances, rows, values)
 
 
+def _stack_results(
+    group: _TileGroup, results: Sequence[InferenceTileResult]
+) -> Tuple[_TileGroup, np.ndarray, np.ndarray, int]:
+    """One group's per-instance results in a wave's form: ``(outputs,
+    instances, rows)`` int64 outputs in (program order, names sorted) order,
+    ``(instances, 8)`` counters and the exact checksum."""
+    names = [
+        (program, name)
+        for program, program_names in enumerate(group.names_seq)
+        for name in program_names
+    ]
+    outputs = np.array(
+        [
+            [result.outputs[program][name] for result in results]
+            for program, name in names
+        ],
+        dtype=np.int64,
+    ).reshape(len(names), len(results), group.rows)
+    counters = counter_rows([result.stats for result in results])
+    return group, outputs, counters, sum(result.checksum for result in results)
+
+
 def _word_codes(codes: np.ndarray, word: np.dtype) -> np.ndarray:
     """A layer's ``(images, ...)`` codes as the zero-led ``(1 + features,
     images)`` array a :class:`WaveGather` reads, in ``word``: row 0 is the
@@ -504,7 +522,7 @@ class BatchedInference:
         signed: signedness of the quantized activations.
         accelerator: AP provider; sized automatically (growing banks) when
             omitted and the model needs more concurrent APs than the default.
-        executor: executor (``serial``/``parallel``/``thread``), class or
+        executor: executor (``serial``/``parallel``), class or
             instance, of the instances no wave takes.
         workers: worker count for pool executors.
         backend: functional AP execution backend; the accelerator's default
@@ -588,14 +606,9 @@ class BatchedInference:
         #: Monotonic per-engine request ids (span attribute only; results
         #: carry no id, so numbering never affects the data path).
         self._request_ids = itertools.count()
-        try:
-            self._wave_capable = bool(
-                getattr(resolve_backend(self.backend), "supports_program_wave", False)
-            )
-        except ConfigurationError:
-            # Invalid backends keep their error site: the per-instance
-            # dispatch raises when it builds the first AP.
-            self._wave_capable = False
+        self._wave_capable = bool(
+            getattr(resolve_backend(self.backend), "supports_program_wave", False)
+        )
         #: Per-layer host dataflow plans (tile parses + staging groups); for
         #: wave-capable backends this also pre-lowers every program to its
         #: wave form and plans its operand gather, so no request pays the
@@ -728,11 +741,13 @@ class BatchedInference:
     ) -> np.ndarray:
         """Run every (image, tile) of one layer and reduce the partial sums.
 
-        Each group's wave comes back as one :class:`WaveBatch`; its outputs
-        fold and add into the layer accumulator once per tile position, for
-        all images at once, and its counters fill the layer's ``(images,
-        tiles, 8)`` counter matrix.  Instances no wave takes reduce one by
-        one, with per-instance adds.
+        Each group's wave comes back as one
+        :class:`~repro.ap.backends.batched.WaveBatch`; a group no wave takes
+        runs instance by instance on the executor, and its results are
+        stacked into the same arrays (:func:`_stack_results`).  Either way
+        the outputs fold and add into the layer accumulator once per tile
+        position, for all images at once, and the counters fill the layer's
+        ``(images, tiles, 8)`` counter matrix.
         """
         planned = node.planned
         mapping = node.mapping
@@ -750,10 +765,13 @@ class BatchedInference:
         words: Dict[np.dtype, np.ndarray] = {}
         #: Lowered on first use, by the first group no wave takes.
         lowered: Optional[np.ndarray] = None
-        batches: List[Tuple[_TileGroup, WaveBatch]] = []
+        #: ``(group, (outputs, instances, rows) outputs, (instances, 8)
+        #: counters, checksum)`` per group; a ``None`` checksum is the
+        #: int64 total of the folded outputs.
+        results: List[Tuple[_TileGroup, np.ndarray, np.ndarray, Optional[int]]] = []
         payloads = []
-        #: ``(image, tile position, group)`` of each payload.
-        owners: List[Tuple[int, int, _TileGroup]] = []
+        #: Groups no wave takes, in payload order.
+        fallbacks: List[_TileGroup] = []
         started = time.perf_counter()
         with telemetry.span(
             "device.layer",
@@ -779,7 +797,14 @@ class BatchedInference:
                         technology=technology,
                     )
                 if batch is not None:
-                    batches.append((group, batch))
+                    results.append(
+                        (
+                            group,
+                            batch.outputs,
+                            batch.counters(),
+                            None if batch.total_is_checksum else batch.checksum(),
+                        )
+                    )
                     continue
                 if lowered is None:
                     lowered = lower_batch_rows(
@@ -789,9 +814,9 @@ class BatchedInference:
                     "host.stage", category="host", layer=node.name, images=num_images
                 ):
                     staged = _stage_group(group, lowered, num_images)
+                fallbacks.append(group)
                 for instance in range(staged.instances):
-                    image, position = divmod(instance, tiles)
-                    tile = plan.tiles[group.tile_indices[position]]
+                    tile = plan.tiles[group.tile_indices[instance % tiles]]
                     inputs_list = [
                         {name: values[instance] for name, values in operands.items()}
                         for operands in staged.values
@@ -799,21 +824,24 @@ class BatchedInference:
                     payloads.append(
                         (
                             tile,
-                            image,
+                            instance // tiles,
                             self._columns,
                             self.backend,
                             technology,
                             inputs_list,
                         )
                     )
-                    owners.append((image, position, group))
-            dispatched: Sequence[InferenceTileResult] = ()
             if payloads:
                 with self._lease_lock:
                     lease = make_lease(self.accelerator, self._columns, self.backend)
                     dispatched = self.executor.map_layer(
                         _inference_tile_worker, payloads, lease=lease
                     )
+                begin = 0
+                for group in fallbacks:
+                    end = begin + num_images * len(group.tile_indices)
+                    results.append(_stack_results(group, dispatched[begin:end]))
+                    begin = end
         wall = time.perf_counter() - started
         # Residency accounting, one dispatch per image of every tile: warm
         # on a deployed (pinned) plan, cold lease + reprogram otherwise.
@@ -829,46 +857,21 @@ class BatchedInference:
         )
         counters = np.zeros((num_images, num_tiles, len(COUNTER_FIELDS)), np.int64)
         checksum = 0
-        for group, batch in batches:
+        for group, outputs, group_counters, group_checksum in results:
             tiles = len(group.tile_indices)
-            counters[:, group.tile_indices] = batch.counters().reshape(
+            counters[:, group.tile_indices] = group_counters.reshape(
                 num_images, tiles, -1
             )
             if group.fold is None:
                 continue
-            folded = group.fold(batch.outputs)
-            checksum += (
-                int(folded.sum()) if batch.total_is_checksum else batch.checksum()
-            )
+            folded = group.fold(outputs)
+            checksum += int(folded.sum()) if group_checksum is None else group_checksum
             folded = folded.reshape(-1, num_images, tiles, group.rows)
             for position, start in enumerate(group.starts):
                 window = slice(start, start + group.rows)
                 accumulator[:, group.fold.targets, window] += folded[
                     :, :, position
                 ].transpose(1, 0, 2)
-        for (image, position, group), result in zip(owners, dispatched):
-            counters[image, group.tile_indices[position]] = counter_rows(
-                [result.stats]
-            )
-            checksum += result.checksum
-            if group.fold is None:
-                continue
-            names_seq, channels = group.names_seq, group.channels
-            stacked = np.stack(
-                [
-                    outputs[name]
-                    for outputs, names in zip(result.outputs, names_seq)
-                    for name in names
-                ]
-            )
-            start = group.starts[position]
-            target = accumulator[image, :, start : start + group.rows]
-            if group.fold.order is None:
-                # Uniform: fold the program axis, then one indexed add.
-                summed = stacked.reshape(len(names_seq), -1, group.rows).sum(axis=0)
-                target[channels[: len(names_seq[0])]] += summed
-            else:
-                np.add.at(target, channels, stacked)
 
         movement = charge_adder_tree_movement(
             self.accelerator, planned, repeats=num_images

@@ -524,21 +524,20 @@ class SteadyStateCost:
         return self.deploy_latency_ms / count + self.per_request_latency_ms
 
 
-def steady_state_cost(deployment, executions) -> SteadyStateCost:
+def steady_state_cost(
+    deployment, count: int, energy: float, latency: float
+) -> SteadyStateCost:
     """Split a session's accounting into deploy cost vs. per-request cost.
 
     Args:
         deployment: the :class:`~repro.arch.accelerator.Deployment` returned
             by :meth:`~repro.arch.accelerator.Accelerator.deploy_plan` (the
             one-time CAM weight-programming traffic).
-        executions: one functional
-            :class:`~repro.runtime.scheduler.PlanExecution` per served
-            request; the per-request figures are their means.
+        count: requests served.
+        energy: their total functional energy (uJ).
+        latency: their total functional latency (ms); the per-request
+            figures are the means.
     """
-    executions = list(executions)
-    count = len(executions)
-    energy = sum(execution.energy_uj for execution in executions)
-    latency = sum(execution.latency_ms for execution in executions)
     return SteadyStateCost(
         deploy_energy_uj=deployment.energy_uj,
         deploy_latency_ms=deployment.latency_ms,

@@ -10,7 +10,7 @@ explicit pipeline:
    ``(bank, tile, ap)``.
 2. A :class:`~repro.runtime.scheduler.Scheduler` walks the plan layer by
    layer and dispatches each layer's tiles to a pluggable executor
-   (``serial`` / ``parallel`` process pool / ``thread`` pool).
+   (``serial`` / ``parallel`` process pool).
 3. Per-tile :class:`~repro.cam.stats.CAMStats` are reduced with
    order-independent reductions, so parallel output is byte-identical to
    serial output, and interconnect traffic is charged through the
@@ -29,7 +29,6 @@ from repro.runtime.executors import (
     ExecutorSpec,
     ParallelExecutor,
     SerialExecutor,
-    ThreadExecutor,
     TileResult,
     available_executors,
     resolve_executor,
@@ -50,7 +49,6 @@ __all__ = [
     "ExecutorSpec",
     "SerialExecutor",
     "ParallelExecutor",
-    "ThreadExecutor",
     "TileResult",
     "available_executors",
     "resolve_executor",

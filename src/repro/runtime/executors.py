@@ -2,7 +2,7 @@
 
 An executor maps a worker function over payloads - one per tile program, or
 per ``(image, tile)`` instance of an inference layer - and returns the
-results **in payload order**.  Three executors ship with the runtime:
+results **in payload order**.  Two executors ship with the runtime:
 
 * ``serial`` - one payload after another in the calling process.  When handed
   an :class:`~repro.arch.accelerator.Accelerator` lease it reuses pooled
@@ -11,8 +11,6 @@ results **in payload order**.  Three executors ship with the runtime:
 * ``parallel`` - a process pool (``workers`` processes); immune to the GIL,
   intended for the Python-heavy ``reference`` backend and for many-tile
   plans.
-* ``thread`` - a thread pool; lighter start-up, useful when the ``vectorized``
-  backend spends its time in NumPy kernels that release the GIL.
 
 Every executor dispatches through one surface, the order-preserving
 ``map_tasks``: behind :meth:`Executor.map_layer`, the one per-layer call of
@@ -31,7 +29,7 @@ same order-independent reductions.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Type, Union
 
@@ -215,10 +213,6 @@ class Executor:
     #: Registry name (e.g. ``"serial"``).
     name = "abstract"
     workers = 1
-    #: Whether workers run in other processes and must ship span batches
-    #: back with results (see ``_traced_task``).  In-process executors record
-    #: straight into the installed tracer.
-    ships_spans = False
 
     def map_tasks(
         self, fn: Callable, payloads: Sequence, lease: Optional[LeaseFn] = None
@@ -317,10 +311,14 @@ class SerialExecutor(Executor):
 
 
 class ParallelExecutor(Executor):
-    """Fans tiles out over a process pool (order-preserving ``map``)."""
+    """Fans tiles out over a process pool (order-preserving ``map``).
+
+    Workers cannot record into the parent's tracer, so while one is
+    installed every task ships its span batch back with its result (see
+    ``_traced_task``).
+    """
 
     name = "parallel"
-    ships_spans = True
 
     def __init__(self, workers: Optional[int] = None) -> None:
         import os
@@ -328,23 +326,20 @@ class ParallelExecutor(Executor):
         self.workers = max(1, workers if workers is not None else (os.cpu_count() or 1))
         self._pool: Optional[ProcessPoolExecutor] = None
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=mp_context()
-            )
-        return self._pool
-
     def map_tasks(
         self, fn: Callable, payloads: Sequence, lease: Optional[LeaseFn] = None
     ) -> List:
         payloads = list(payloads)
         if self.workers <= 1 or len(payloads) <= 1:
             return SerialExecutor().map_tasks(fn, payloads, lease=lease)
-        pool = self._ensure_pool()
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers, mp_context=mp_context()
+            )
+        pool = self._pool
         chunksize = max(1, len(payloads) // (self.workers * 4))
         tracer = telemetry.get_tracer()
-        if tracer is not None and self.ships_spans:
+        if tracer is not None:
             shipped = list(
                 pool.map(
                     _traced_task,
@@ -367,30 +362,12 @@ class ParallelExecutor(Executor):
             self._pool = None
 
 
-class ThreadExecutor(ParallelExecutor):
-    """Fans tiles out over a thread pool (shares the process heap).
-
-    Worker threads record spans straight into the installed tracer (their
-    distinct tids become per-worker tracks in the Chrome export), so no
-    shipping protocol is needed.
-    """
-
-    name = "thread"
-    ships_spans = False
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:  # type: ignore[override]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.workers)  # type: ignore[assignment]
-        return self._pool  # type: ignore[return-value]
-
-
 #: Specification accepted wherever an executor can be selected.
 ExecutorSpec = Union[str, Executor, Type[Executor]]
 
 _EXECUTORS: Dict[str, Type[Executor]] = {
     SerialExecutor.name: SerialExecutor,
     ParallelExecutor.name: ParallelExecutor,
-    ThreadExecutor.name: ThreadExecutor,
 }
 
 

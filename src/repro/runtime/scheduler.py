@@ -18,7 +18,7 @@ Per-tile inputs derive from per-tile seeds, per-tile counters are exact
 integers, and every reduction used here (integer sum, per-round maximum) is
 order-independent - so ``serial`` and ``parallel`` execution of the same plan
 produce byte-identical aggregated counters, as do the ``reference`` and
-``vectorized`` backends (whose per-instruction equivalence is enforced by the
+``batched`` backends (whose per-instruction equivalence is enforced by the
 backend test suite).
 """
 
@@ -301,7 +301,7 @@ class Scheduler:
     Args:
         accelerator: AP provider and interconnect owner.  Tile counters and
             movement costs are charged back into it (per-tile aggregation).
-        executor: executor name (``serial``/``parallel``/``thread``), class or
+        executor: executor name (``serial``/``parallel``), class or
             instance.
         workers: worker count for pool executors.
         backend: execution backend for the functional APs; defaults to the

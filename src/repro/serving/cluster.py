@@ -307,7 +307,7 @@ class Cluster:
         context = mp_context()
         artifacts = (self.model, self.input_shape, self.compiled)
         # A process pool inside a daemonic process is not allowed, so only
-        # serial/thread executors get daemon workers (the safety net that
+        # the serial executor gets daemon workers (the safety net that
         # reaps replicas if the parent dies without close()).
         daemon = self.config.executor != "parallel"
         for index in range(self.config.replicas):

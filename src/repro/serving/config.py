@@ -33,8 +33,8 @@ class ClusterConfig:
         sparsity: ternary weight sparsity (the paper's setting per model
             when omitted).
         bits: activation precision.
-        backend: functional AP execution backend (process default when
-            omitted).
+        backend: functional AP execution backend (``reference`` /
+            ``batched``); the process default when omitted.
         executor: per-replica tile executor *name* (``serial`` keeps one
             replica on one core - the data-parallel sharding is the
             replicas themselves).

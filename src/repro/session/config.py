@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
+from repro.ap.backends import resolve_backend
 from repro.arch.config import ArchitectureConfig
 from repro.errors import ConfigurationError
 from repro.nn.layers import Module
@@ -40,8 +41,8 @@ class SessionConfig:
             configuration when omitted (grown automatically when
             ``auto_size`` is set and the resident deploy needs more APs).
         backend: functional AP execution backend (``reference`` /
-            ``vectorized`` / ``batched``); the process default when omitted.
-        executor: tile executor (``serial``/``parallel``/``thread``), class
+            ``batched``); the process default when omitted.
+        executor: tile executor (``serial``/``parallel``), class
             or instance - resolved once and reused by every request.
         workers: worker count for pool executors.
         slices: compile only this many input-channel slices per layer
@@ -114,6 +115,8 @@ class SessionConfig:
             raise ConfigurationError(
                 f"concurrency must be >= 1, got {self.concurrency}"
             )
+        if self.backend is not None:
+            resolve_backend(self.backend)
 
     @property
     def functional(self) -> bool:

@@ -31,15 +31,16 @@ import enum
 import os
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro import telemetry
 from repro.arch.accelerator import Accelerator, Deployment, ResidencyLedger
-from repro.cam.stats import CAMStats
+from repro.cam.stats import COUNTER_FIELDS, CAMStats
 from repro.core.compiler import CompiledModel, CompilerConfig, compile_model
 from repro.errors import CapacityError, SessionStateError
 from repro.inference.engine import BatchedInference, InferenceResult
@@ -85,6 +86,48 @@ class RequestRecord:
     kind: str = "infer"
 
 
+#: Most recent request records a session keeps (``Session.requests``,
+#: ``SessionReport.records``).  Older requests live on only in the running
+#: totals behind :meth:`Session.report`, so a serving session's memory does
+#: not grow with the requests it serves.
+RECORD_WINDOW = 64
+
+
+@dataclass
+class _RequestTotals:
+    """Running sums over every request a session recorded.
+
+    Each sum is added in record order, starting from zero, so every figure
+    equals the sum over the full record list.  ``stats`` sums every layer's
+    counters by field (no ``CAMStats`` is built per request).
+    ``last_infer`` is the most recent inference record, the input of the
+    pipeline model.
+    """
+
+    requests: int = 0
+    images: int = 0
+    energy_uj: float = 0.0
+    latency_ms: float = 0.0
+    wall_s: float = 0.0
+    stats: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(COUNTER_FIELDS, 0)
+    )
+    last_infer: Optional[RequestRecord] = None
+
+    def add(self, record: RequestRecord) -> None:
+        execution = record.execution
+        self.requests += 1
+        self.images += record.images or 0
+        self.energy_uj += execution.energy_uj
+        self.latency_ms += execution.latency_ms
+        self.wall_s += execution.wall_time_s
+        for layer in execution.layers:
+            for name in COUNTER_FIELDS:
+                self.stats[name] += getattr(layer.stats, name)
+        if record.kind == "infer" and record.images:
+            self.last_infer = record
+
+
 @dataclass
 class PendingRequest:
     """Handle of one in-flight :meth:`Session.submit` request.
@@ -128,6 +171,7 @@ class SessionReport:
     requests: int = 0
     images: int = 0
     request_wall_s: float = 0.0
+    #: The most recent requests, at most :data:`RECORD_WINDOW` of them.
     records: List[RequestRecord] = field(default_factory=list)
     #: Fill/steady-state/drain model of the last inference request's stage
     #: profile (``None`` until an inference request was served).
@@ -320,7 +364,7 @@ class Session:
 
     Usage::
 
-        with Session(model="vgg9", width=1 / 16, executor="thread") as session:
+        with Session(model="vgg9", width=1 / 16) as session:
             session.compile().deploy()
             for batch in batches:
                 result = session.infer(batch)
@@ -336,9 +380,7 @@ class Session:
         if config is None:
             config = SessionConfig(**overrides)
         elif overrides:
-            import dataclasses
-
-            config = dataclasses.replace(config, **overrides)
+            config = replace(config, **overrides)
         self.config = config
         self._accelerator_provided = accelerator is not None
         self.state = SessionState.CREATED
@@ -351,7 +393,9 @@ class Session:
         self.deployment: Optional[Deployment] = None
         self._executor: Optional[Executor] = None
         self._driver: Optional[BatchedInference] = None
-        self._requests: List[RequestRecord] = []
+        self._requests: Deque[RequestRecord] = deque(maxlen=RECORD_WINDOW)
+        self._totals = _RequestTotals()
+        self._record_lock = threading.Lock()
         #: Overlapping-request machinery (submit()/gather()).
         self._serving_pool: Optional[ThreadPoolExecutor] = None
         self._pending: List[PendingRequest] = []
@@ -580,10 +624,14 @@ class Session:
         self._require(SessionState.DEPLOYED)
         driver = self._require_functional()
         result = driver.run(images, batch=batch)
-        self._requests.append(
-            RequestRecord(execution=result.execution, images=result.images)
-        )
+        self._record(RequestRecord(execution=result.execution, images=result.images))
         return result
+
+    def _record(self, record: RequestRecord) -> None:
+        """Add one served request to the record window and the totals."""
+        with self._record_lock:
+            self._requests.append(record)
+            self._totals.add(record)
 
     # ------------------------------------------------------------------
     # Overlapping requests: one live deployment, many concurrent clients
@@ -645,7 +693,7 @@ class Session:
                     first_error = error
                 continue
             results.append(result)
-            self._requests.append(
+            self._record(
                 RequestRecord(execution=result.execution, images=result.images)
             )
         if first_error is not None:
@@ -668,9 +716,7 @@ class Session:
         # The session owns the executor; Scheduler.close() is NOT called so
         # pool workers survive for the next request.
         execution = scheduler.run(self.plan)
-        self._requests.append(
-            RequestRecord(execution=execution, images=None, kind="run")
-        )
+        self._record(RequestRecord(execution=execution, images=None, kind="run"))
         return execution
 
     def crosscheck(
@@ -703,7 +749,8 @@ class Session:
     # ------------------------------------------------------------------
     @property
     def requests(self) -> List[RequestRecord]:
-        """Every request served so far (in order)."""
+        """The most recent requests, oldest first (at most
+        :data:`RECORD_WINDOW`; :meth:`report` covers every request)."""
         return list(self._requests)
 
     @property
@@ -722,18 +769,14 @@ class Session:
         """Split the session's accounting into deploy vs. per-request cost."""
         if self.deployment is None:
             raise SessionStateError("nothing deployed yet; call deploy() first")
-        executions = [record.execution for record in self._requests]
-        cost = steady_state_cost(self.deployment, executions)
-        wall = sum(execution.wall_time_s for execution in executions)
-        pipeline = None
-        last_infer = next(
-            (
-                record
-                for record in reversed(self._requests)
-                if record.kind == "infer" and record.images
-            ),
-            None,
+        with self._record_lock:
+            totals = replace(self._totals)
+            records = list(self._requests)
+        cost = steady_state_cost(
+            self.deployment, totals.requests, totals.energy_uj, totals.latency_ms
         )
+        pipeline = None
+        last_infer = totals.last_infer
         if last_infer is not None:
             pipeline = pipeline_cost_from_execution(
                 last_infer.execution, images=last_infer.images
@@ -750,10 +793,10 @@ class Session:
             deployment=self.deployment,
             cost=cost,
             residency=self.residency,
-            requests=len(executions),
-            images=sum(record.images or 0 for record in self._requests),
-            request_wall_s=wall / len(executions) if executions else 0.0,
-            records=list(self._requests),
+            requests=totals.requests,
+            images=totals.images,
+            request_wall_s=totals.wall_s / totals.requests if totals.requests else 0.0,
+            records=records,
             pipeline=pipeline,
         )
 
@@ -785,10 +828,9 @@ class Session:
             registry = self.report().to_registry()
         else:
             registry = metrics_mod.MetricsRegistry()
-        if self._requests:
-            total = CAMStats()
-            for record in self._requests:
-                total = total.merge(record.execution.total_stats)
+        with self._record_lock:
+            total = CAMStats(**self._totals.stats) if self._totals.requests else None
+        if total is not None:
             metrics_mod.record_cam_stats(registry, total)
         if self.accelerator is not None:
             metrics_mod.record_residency(registry, self.accelerator.residency)

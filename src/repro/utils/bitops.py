@@ -179,7 +179,7 @@ def pack_bits_int64(bits: np.ndarray, signed: bool = True) -> np.ndarray:
     Performs no 0/1 validation - callers own that invariant (the CAM stores
     uint8 0/1 cells).  This is the single home of the vectorized
     two's-complement decode, shared by :func:`bit_matrix_to_vector` and the
-    vectorized execution backend.
+    batched execution backend.
     """
     width = bits.shape[1]
     code = bits @ _bit_weights(width)

@@ -1,4 +1,4 @@
-"""Cross-backend equivalence: batched vs. vectorized vs. reference execution.
+"""Cross-backend equivalence: batched vs. reference execution.
 
 The contract of :mod:`repro.ap.backends` is that every backend leaves the
 CAM in a byte-identical state and accumulates identical
@@ -20,7 +20,6 @@ from repro.ap.backends import (
     DEFAULT_BACKEND,
     BatchedBackend,
     ReferenceBackend,
-    VectorizedBackend,
     available_backends,
     create_backend,
     register_backend,
@@ -31,6 +30,7 @@ from repro.ap.backends.batched import (
     StagedWaveInputs,
     compile_program_wave,
     execute_program_wave,
+    lut_truth_matrix,
     wave_staging_plan,
 )
 from repro.ap.backends.harness import (
@@ -38,7 +38,6 @@ from repro.ap.backends.harness import (
     random_inputs,
     random_program,
 )
-from repro.ap.backends.vectorized import lut_truth_matrix
 from repro.ap.core import AssociativeProcessor
 from repro.ap.isa import APInstruction, APOpcode, APProgram, ColumnRegion
 from repro.ap.lut import all_luts, simulate_lut_passes
@@ -65,20 +64,18 @@ def single_instruction_program(instruction, input_regions, output_regions):
 
 class TestRegistry:
     def test_available_backends(self):
-        assert "reference" in available_backends()
-        assert "vectorized" in available_backends()
-        assert "batched" in available_backends()
+        assert available_backends() == ["batched", "reference"]
         # The fast backend is the default; the interpreter stays the
         # ground truth and can be forced via REPRO_AP_BACKEND (which CI
         # uses for a full-suite ground-truth run).
         import os
 
-        expected = os.environ.get("REPRO_AP_BACKEND", "").strip() or "vectorized"
+        expected = os.environ.get("REPRO_AP_BACKEND", "").strip() or "batched"
         assert DEFAULT_BACKEND == expected
 
     def test_resolve_by_name_and_class(self):
-        assert resolve_backend("vectorized") is VectorizedBackend
         assert resolve_backend("batched") is BatchedBackend
+        assert resolve_backend("reference") is ReferenceBackend
         assert resolve_backend(ReferenceBackend) is ReferenceBackend
 
     def test_unknown_backend_rejected(self):
@@ -86,6 +83,25 @@ class TestRegistry:
             resolve_backend("warp-drive")
         with pytest.raises(ConfigurationError):
             AssociativeProcessor(rows=4, columns=4, backend="warp-drive")
+
+    def test_removed_vectorized_name_is_rejected(self):
+        """The per-tile ``vectorized`` backend was folded into ``batched``:
+        its name is an unknown backend, and the error lists the survivors."""
+        with pytest.raises(ConfigurationError, match="available: batched, reference"):
+            resolve_backend("vectorized")
+        with pytest.raises(ConfigurationError, match="available: batched, reference"):
+            AssociativeProcessor(rows=4, columns=4, backend="vectorized")
+        from repro.arch.accelerator import Accelerator
+
+        with pytest.raises(ConfigurationError, match="available: batched, reference"):
+            Accelerator(backend="vectorized")
+
+    def test_removed_vectorized_env_value_is_rejected(self, monkeypatch):
+        from repro.ap import backends as backends_module
+
+        monkeypatch.setenv(backends_module.BACKEND_ENV_VARIABLE, "vectorized")
+        with pytest.raises(ConfigurationError, match="available: batched, reference"):
+            backends_module._default_backend()
 
     def test_register_requires_name(self):
         class Nameless(ReferenceBackend):
@@ -95,8 +111,8 @@ class TestRegistry:
             register_backend(Nameless)
 
     def test_create_backend_binds_array(self):
-        ap = AssociativeProcessor(rows=4, columns=4, backend="vectorized")
-        assert ap.backend.name == "vectorized"
+        ap = AssociativeProcessor(rows=4, columns=4, backend="batched")
+        assert ap.backend.name == "batched"
         assert ap.backend.array is ap.array
         backend = create_backend("reference", ap.array, 0)
         assert backend.array is ap.array
@@ -311,9 +327,9 @@ class TestRandomizedPrograms:
         )
         assert comparison.equivalent, comparison.describe()
 
-    def test_vectorized_matches_numpy_semantics(self, rng):
-        """End to end: the vectorized AP still computes exact integer math."""
-        ap = AssociativeProcessor(rows=32, columns=16, backend="vectorized")
+    def test_batched_matches_numpy_semantics(self, rng):
+        """End to end: the batched AP still computes exact integer math."""
+        ap = AssociativeProcessor(rows=32, columns=16, backend="batched")
         a = rng.integers(-100, 100, 32)
         b = rng.integers(-100, 100, 32)
         assert np.array_equal(ap.add_vectors(a, b, width=9), a + b)
@@ -324,9 +340,9 @@ class TestAcceleratorThreading:
     def test_functional_ap_inherits_backend(self, tiny_architecture):
         from repro.arch.accelerator import Accelerator
 
-        accelerator = Accelerator(config=tiny_architecture, backend="vectorized")
+        accelerator = Accelerator(config=tiny_architecture, backend="reference")
         ap = accelerator.functional_ap((0, 0, 0))
-        assert ap.backend.name == "vectorized"
+        assert ap.backend.name == "reference"
 
     def test_default_backend_is_the_session_default(self, tiny_architecture):
         from repro.ap.backends import DEFAULT_BACKEND
@@ -345,11 +361,11 @@ class TestAcceleratorThreading:
         with pytest.raises(ConfigurationError):
             backends_module._default_backend()
         monkeypatch.delenv(backends_module.BACKEND_ENV_VARIABLE)
-        assert backends_module._default_backend() == "vectorized"
+        assert backends_module._default_backend() == "batched"
 
 
 class TestCostModelCrosscheck:
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("backend", ["reference", "batched"])
     def test_crosscheck_consistent(self, backend):
         from repro.perf.model import PerformanceModelConfig, crosscheck_cost_model
 
@@ -375,7 +391,7 @@ class TestCostModelCrosscheck:
 
 
 def per_instance_wave_baseline(
-    programs, inputs_per_instance, rows, columns, backend="vectorized"
+    programs, inputs_per_instance, rows, columns, backend="batched"
 ):
     """Ground truth of one wave: each instance alone on a fresh AP."""
     results = []

@@ -80,7 +80,7 @@ class TestPooledLeases:
         assert second.rows == 32
 
     def test_lease_rebuilds_on_backend_change(self, accelerator):
-        first = accelerator.lease_ap((0, 0, 0), backend="vectorized")
+        first = accelerator.lease_ap((0, 0, 0), backend="batched")
         second = accelerator.lease_ap((0, 0, 0), backend="reference")
         assert second is not first
         assert second.backend.name == "reference"

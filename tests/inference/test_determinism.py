@@ -2,18 +2,27 @@
 
 The inference engine's contract extends the runtime's: because per-tile
 partial sums are exact integers and every reduction (integer sums, per-round
-maxima) is order-independent, the {serial, parallel, thread} executors and
-the {reference, vectorized, batched} backends must produce byte-identical
-logits *and* byte-identical aggregated CAMStats for the same images.  The
-``batched`` rows additionally exercise the layer-wave fast path (one
-mega-kernel per layer) against the per-tile baselines.
+maxima) is order-independent, the {serial, parallel} executors and the
+{reference, batched} backends must produce byte-identical logits *and*
+byte-identical aggregated CAMStats for the same images.  The baseline runs
+every instance on its own AP (``batched`` with every wave declined), so the
+``batched`` rows check the layer-wave fast path (one mega-kernel per layer)
+against per-instance execution.
 """
 
 import numpy as np
 import pytest
 
-EXECUTORS = ("serial", "parallel", "thread")
-BACKENDS = ("reference", "vectorized", "batched")
+from repro.inference import engine
+
+EXECUTORS = ("serial", "parallel")
+BACKENDS = ("reference", "batched")
+
+
+@pytest.fixture
+def declined_waves(monkeypatch):
+    """Force the per-instance path: every wave declines."""
+    monkeypatch.setattr(engine, "execute_program_wave", lambda *a, **k: None)
 
 
 @pytest.fixture(scope="module")
@@ -25,9 +34,9 @@ def tiny_images(tiny_cnn, images_rng):
 @pytest.fixture(scope="module")
 def baseline(serve, tiny_cnn, tiny_images):
     model, _ = tiny_cnn
-    return serve(
-        model, tiny_images, bits=4, executor="serial", backend="vectorized"
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "execute_program_wave", lambda *a, **k: None)
+        return serve(model, tiny_images, bits=4, executor="serial", backend="batched")
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)
@@ -47,22 +56,26 @@ def test_logits_and_stats_byte_identical(
         assert left.checksum == right.checksum
 
 
-def test_executors_agree_on_residual_topology(serve, resnet18_narrow, images_rng):
+def test_executors_agree_on_residual_topology(
+    serve, resnet18_narrow, images_rng, declined_waves
+):
     """The layer barrier chain holds for residual models too."""
     model, input_shape = resnet18_narrow
     images = images_rng.uniform(0.0, 1.0, size=(1,) + input_shape)
     serial = serve(model, images, bits=4, executor="serial")
-    threaded = serve(model, images, bits=4, executor="thread", workers=4)
-    assert np.array_equal(serial.logits, threaded.logits)
-    assert serial.execution.total_stats == threaded.execution.total_stats
+    pooled = serve(model, images, bits=4, executor="parallel", workers=2)
+    assert np.array_equal(serial.logits, pooled.logits)
+    assert serial.execution.total_stats == pooled.execution.total_stats
 
 
-def test_micro_batch_interleaving_deterministic(serve, tiny_cnn, tiny_images):
+def test_micro_batch_interleaving_deterministic(
+    serve, tiny_cnn, tiny_images, declined_waves
+):
     """Chunked pool execution reproduces the one-shot batch exactly."""
     model, _ = tiny_cnn
-    whole = serve(model, tiny_images, bits=4, executor="thread", workers=2)
+    whole = serve(model, tiny_images, bits=4, executor="parallel", workers=2)
     chunked = serve(
-        model, tiny_images, bits=4, executor="thread", workers=2, batch=1
+        model, tiny_images, bits=4, executor="parallel", workers=2, batch=1
     )
     assert np.array_equal(whole.logits, chunked.logits)
     assert whole.execution.total_stats == chunked.execution.total_stats

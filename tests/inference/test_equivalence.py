@@ -101,11 +101,11 @@ class TestBatchedExecution:
 class TestBatchedWaveOnTopologies:
     """The mega-kernel (``batched``) backend on whole benchmark topologies.
 
-    ``tests/inference/test_determinism.py`` pins the three-way backend matrix
-    on the tiny CNN; these runs add the benchmark topologies - strides,
-    residual shortcuts and pooling stages - where the layer waves span many
-    heterogeneous tiles per layer, and sweep the batched backend across
-    executors against one vectorized serial baseline.
+    ``tests/inference/test_determinism.py`` pins the backend x executor
+    matrix on the tiny CNN; these runs add the benchmark topologies -
+    strides, residual shortcuts and pooling stages - where the layer waves
+    span many heterogeneous tiles per layer, and sweep the batched backend
+    across executors against one serial baseline whose waves all decline.
     """
 
     @staticmethod
@@ -119,15 +119,17 @@ class TestBatchedWaveOnTopologies:
     @pytest.mark.parametrize(
         "fixture_name", ["vgg9_narrow", "resnet18_narrow"]
     )
-    def test_batched_matches_vectorized_across_modes(
-        self, request, fixture_name, images_rng
+    def test_batched_matches_declined_waves_across_modes(
+        self, request, fixture_name, images_rng, monkeypatch
     ):
         model, input_shape = request.getfixturevalue(fixture_name)
         images = images_rng.uniform(0.0, 1.0, size=(2,) + input_shape)
-        baseline = self._run(model, input_shape, images, backend="vectorized")
+        monkeypatch.setattr(engine, "execute_program_wave", lambda *a, **k: None)
+        baseline = self._run(model, input_shape, images, backend="batched")
+        monkeypatch.undo()
         modes = [
             {"executor": "serial"},
-            {"executor": "thread", "workers": 2},
+            {"executor": "parallel", "workers": 2},
         ]
         for mode in modes:
             batched = self._run(
@@ -151,8 +153,7 @@ class TestHostDataflowModes:
     """Staged waves vs per-(image, tile) dispatch: one dataflow, two routes.
 
     Every layer stages its operands once; the ``batched`` backend executes
-    each tile group as one wave, and every instance no wave takes - all of
-    them on ``vectorized``, those of a declined wave on ``batched`` - goes
+    each tile group as one wave, and every instance of a declined wave goes
     to the executor indexed out of the same staged views.  Every mix of the
     two routes must produce byte-identical logits, checksums and per-layer
     CAMStats on every benchmark topology and executor.
@@ -176,13 +177,17 @@ class TestHostDataflowModes:
     ):
         model, input_shape = request.getfixturevalue(fixture_name)
         images = images_rng.uniform(0.0, 1.0, size=(3,) + input_shape)
-        per_instance = self._run(model, input_shape, images, "vectorized")
         runs = {
             f"wave {mode}": self._run(
                 model, input_shape, images, "batched", **mode
             )
-            for mode in ({"executor": "serial"}, {"executor": "thread", "workers": 2})
+            for mode in (
+                {"executor": "serial"},
+                {"executor": "parallel", "workers": 2},
+            )
         }
+        monkeypatch.setattr(engine, "execute_program_wave", lambda *a, **k: None)
+        per_instance = self._run(model, input_shape, images, "batched")
         calls = itertools.count()
 
         def every_other_declines(*args, **kwargs):

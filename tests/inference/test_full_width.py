@@ -12,7 +12,7 @@ the full-width ResNet-18 plan/compile alone takes ~3 minutes on one core
 import numpy as np
 import pytest
 
-from repro.inference import BatchedInference, quantized_reference_forward
+from repro.inference import BatchedInference, engine, quantized_reference_forward
 from repro.nn.models.resnet import build_resnet18
 from repro.nn.models.vgg import build_vgg9
 from repro.session import Session
@@ -57,22 +57,26 @@ def test_resnet18_full_width_session_batched(image_rng):
     assert np.array_equal(result.logits, expected)
 
 
-def test_vgg9_full_width_host_dataflow_modes(image_rng):
-    """Staged waves (``batched``) vs per-(image, tile) dispatch
-    (``vectorized``) at full width: byte-identical logits, checksum and
-    aggregate CAMStats on the same driver workload."""
+def test_vgg9_full_width_host_dataflow_modes(image_rng, monkeypatch):
+    """Staged waves vs per-(image, tile) dispatch (every wave declined) at
+    full width: byte-identical logits, checksum and aggregate CAMStats on
+    the same driver workload."""
     model = build_vgg9(num_classes=10, input_size=32, sparsity=0.85, rng=0)
     images = image_rng.uniform(0.0, 1.0, size=(2,) + INPUT_SHAPE)
     results = {}
-    for backend in ("vectorized", "batched"):
+    for mode in ("wave", "declined"):
+        if mode == "declined":
+            monkeypatch.setattr(
+                engine, "execute_program_wave", lambda *a, **k: None
+            )
         driver = BatchedInference(
-            model, INPUT_SHAPE, bits=4, backend=backend, name="vgg9-full"
+            model, INPUT_SHAPE, bits=4, backend="batched", name="vgg9-full"
         )
         try:
-            results[backend] = driver.run(images)
+            results[mode] = driver.run(images)
         finally:
             driver.close()
-    wave, per_instance = results["batched"], results["vectorized"]
+    wave, per_instance = results["wave"], results["declined"]
     assert np.array_equal(wave.logits, per_instance.logits)
     assert wave.checksum == per_instance.checksum
     assert wave.execution.total_stats == per_instance.execution.total_stats

@@ -130,15 +130,17 @@ def test_gather_matches_lazy_staging(
     seed,
 ):
     """Every block's gathered loads equal the lazily staged ones, and the
-    gathered waves reproduce the logits, counters and checksums of a
-    backend that stages every instance lazily."""
+    gathered waves reproduce the logits, counters and checksums of a run
+    whose waves all decline, which stages every instance lazily."""
     monkeypatch.setattr(batched, "_WAVE_CHUNK_BYTES", budget)
     model = conv_fc(in_channels, out_channels, kernel, stride, padding, size, seed)
     input_shape = (in_channels, size, size)
     x = np.random.default_rng(seed).uniform(0.0, 1.0, size=(images,) + input_shape)
 
     result, driver = run(model, input_shape, x, "batched")
-    lazy, _ = run(model, input_shape, x, "vectorized")
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "execute_program_wave", lambda *a, **k: None)
+        lazy, _ = run(model, input_shape, x, "batched")
     assert observables(result) == observables(lazy)
     assert np.array_equal(
         result.logits, quantized_reference_forward(model, x, bits=4, signed=False)
@@ -182,18 +184,21 @@ def test_gather_matches_lazy_staging(
 def test_warm_request_neither_lowers_nor_stages(monkeypatch, build, input_shape):
     """A warm request gathers every wave's loads from the deploy-planned
     indices: ``lower_batch_rows``, ``_stage_group`` and the per-request
-    code range check are never called, and the logits still equal the
-    ``vectorized`` backend's, which lowers and stages every instance."""
+    code range check are never called, and the logits still equal those of
+    a session whose waves all decline, which lowers and stages every
+    instance."""
     model = build()
     image = np.random.default_rng(4).uniform(0.0, 1.0, size=(1,) + input_shape)
     logits = {}
-    for backend in ("batched", "vectorized"):
+    for mode in ("wave", "declined"):
+        if mode == "declined":
+            monkeypatch.setattr(engine, "execute_program_wave", lambda *a, **k: None)
         session = Session(
             model=model,
             input_shape=input_shape,
             bits=4,
             signed=False,
-            backend=backend,
+            backend="batched",
             executor="serial",
         )
         try:
@@ -209,15 +214,15 @@ def test_warm_request_neither_lowers_nor_stages(monkeypatch, build, input_shape)
                         calls.append(_name) or _original(*args, **kw)
                     ),
                 )
-            logits[backend] = session.infer(image).logits
+            logits[mode] = session.infer(image).logits
             monkeypatch.undo()
         finally:
             session.close()
-        if backend == "batched":
+        if mode == "wave":
             assert calls == []
         else:
             assert "lower_batch_rows" in calls and "_stage_group" in calls
-    assert np.array_equal(logits["batched"], logits["vectorized"])
+    assert np.array_equal(logits["wave"], logits["declined"])
 
 
 def test_unproven_range_checks_codes_and_declines(monkeypatch):

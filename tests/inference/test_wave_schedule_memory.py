@@ -47,7 +47,7 @@ def test_resnet18_schedule_bytes_per_instruction():
         input_shape=(3, 32, 32),
         bits=4,
         signed=False,
-        backend="vectorized",
+        backend="reference",
         executor="serial",
     )
     try:

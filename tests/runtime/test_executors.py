@@ -1,4 +1,4 @@
-"""Executor equivalence: serial / parallel / thread, reference / vectorized."""
+"""Executor equivalence: serial / parallel, reference / batched."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.runtime import build_execution_plan
 from repro.runtime.executors import (
     ParallelExecutor,
     SerialExecutor,
-    ThreadExecutor,
     available_executors,
     generate_tile_inputs,
     resolve_executor,
@@ -60,19 +59,19 @@ def tiny_architecture_module():
     )
 
 
-def _execute(plan, architecture, executor, workers=None, backend="vectorized"):
+def _execute(plan, architecture, executor, workers=None, backend="batched"):
     accelerator = Accelerator(architecture, backend=backend)
     return accelerator.execute_plan(plan, executor=executor, workers=workers)
 
 
 class TestRegistry:
     def test_available_executors(self):
-        assert available_executors() == ["parallel", "serial", "thread"]
+        assert available_executors() == ["parallel", "serial"]
 
     def test_resolve_by_name_class_and_instance(self):
         assert isinstance(resolve_executor("serial"), SerialExecutor)
         assert isinstance(resolve_executor(ParallelExecutor, workers=2), ParallelExecutor)
-        instance = ThreadExecutor(workers=2)
+        instance = SerialExecutor()
         assert resolve_executor(instance) is instance
 
     def test_unknown_executor_rejected(self):
@@ -80,6 +79,11 @@ class TestRegistry:
             resolve_executor("vectorized")
         with pytest.raises(ConfigurationError):
             resolve_executor(3.14)
+
+    def test_removed_thread_executor_rejected(self):
+        """The ``thread`` pool is gone; its name lists the survivors."""
+        with pytest.raises(ConfigurationError, match="available: parallel, serial"):
+            resolve_executor("thread", workers=2)
 
     def test_instance_with_conflicting_workers_rejected(self):
         instance = ParallelExecutor(workers=2)
@@ -127,19 +131,13 @@ class TestExecutorEquivalence:
             assert left.stats == right.stats
             assert left.checksum == right.checksum
 
-    def test_serial_vs_thread(self, small_plan, tiny_architecture_module):
-        serial = _execute(small_plan, tiny_architecture_module, "serial")
-        threaded = _execute(small_plan, tiny_architecture_module, "thread", workers=2)
-        assert serial.total_stats == threaded.total_stats
-        assert serial.checksum == threaded.checksum
-
-    def test_reference_vs_vectorized(self, small_plan, tiny_architecture_module):
-        vectorized = _execute(small_plan, tiny_architecture_module, "serial",
-                              backend="vectorized")
+    def test_reference_vs_batched(self, small_plan, tiny_architecture_module):
+        batched = _execute(small_plan, tiny_architecture_module, "serial",
+                           backend="batched")
         reference = _execute(small_plan, tiny_architecture_module, "serial",
                              backend="reference")
-        assert vectorized.total_stats == reference.total_stats
-        assert vectorized.checksum == reference.checksum
+        assert batched.total_stats == reference.total_stats
+        assert batched.checksum == reference.checksum
 
     def test_repeated_runs_identical(self, small_plan, tiny_architecture_module):
         first = _execute(small_plan, tiny_architecture_module, "serial")
@@ -154,7 +152,7 @@ class TestExecutorEquivalence:
             results = executor.run(
                 tiles,
                 small_plan.required_columns,
-                backend="vectorized",
+                backend="batched",
                 technology=tiny_architecture_module.technology,
             )
             assert [result.tile_index for result in results] == list(range(len(tiles)))
@@ -185,7 +183,7 @@ class TestSubmitTasks:
         with pytest.raises(RuntimeError, match="bad payload"):
             future.result()
 
-    @pytest.mark.parametrize("executor_type", [ParallelExecutor, ThreadExecutor])
+    @pytest.mark.parametrize("executor_type", [ParallelExecutor])
     def test_pool_executors_submit_without_a_pool(self, executor_type):
         executor = executor_type(workers=2)
         futures = executor.submit_tasks(lambda p: p + 1, [1, 2])

@@ -192,7 +192,7 @@ class TestCrosscheckExecution:
 
 class TestSchedulerLifecycle:
     def test_scheduler_close_idempotent(self):
-        scheduler = Scheduler(Accelerator(), executor="thread", workers=2)
+        scheduler = Scheduler(Accelerator(), executor="parallel", workers=2)
         scheduler.close()
         scheduler.close()
         with Scheduler(Accelerator(), executor="serial") as inner:

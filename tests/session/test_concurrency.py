@@ -9,6 +9,7 @@ byte-identical to serving the same batches sequentially.
 """
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ def _assert_same_request(overlapped, sequential):
 
 
 class TestOverlappingRequests:
-    @pytest.mark.parametrize("executor,workers", [("serial", None), ("thread", 2)])
+    @pytest.mark.parametrize("executor,workers", [("serial", None), ("parallel", 2)])
     def test_gather_matches_sequential_serving(
         self, tiny_cnn, batches, sequential_results, executor, workers
     ):
@@ -146,8 +147,6 @@ class TestOverlappingRequests:
             model=model,
             input_shape=shape,
             bits=4,
-            executor="thread",
-            workers=2,
             concurrency=3,
         )
         with Session(config) as session:
@@ -185,14 +184,15 @@ class TestOverlappingRequests:
 class TestOverlapMatrix:
     """Eight overlapping requests equal eight sequential ``infer()`` calls.
 
-    The per-instance backends dispatch through pooled APs, which hold one
-    request at a time; overlapping requests must take turns leasing them.
-    Logits, per-layer CAMStats, checksums, per-AP counters and the residency
-    ledger must all come out byte-identical to sequential serving.
+    ``batched`` runs every layer as waves; ``reference`` dispatches every
+    instance through pooled APs, which hold one request at a time, so
+    overlapping requests must take turns leasing them.  Logits, per-layer
+    CAMStats, checksums, per-AP counters and the residency ledger must all
+    come out byte-identical to sequential serving.
     """
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    @pytest.mark.parametrize("backend", ["vectorized", "reference"])
+    @pytest.mark.parametrize("executor", ["serial", "parallel"])
+    @pytest.mark.parametrize("backend", ["batched", "reference"])
     def test_matches_sequential_infer(self, tiny_cnn, images_rng, backend, executor):
         model, shape = tiny_cnn
         requests = [images_rng.uniform(0, 1, (2,) + shape) for _ in range(8)]
@@ -229,6 +229,40 @@ class TestOverlapMatrix:
         assert overlapped_residency == sequential_residency
         assert overlapped_residency.warm_hits > 0
         assert overlapped_tiles == sequential_tiles
+
+
+class TestConcurrentRecording:
+    def test_concurrent_infers_lose_no_record(self, tiny_cnn, batches):
+        """Threads calling ``infer()`` at once: every request reaches the
+        record window and the report's running totals."""
+        model, shape = tiny_cnn
+        threads_n, rounds = 6, 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Session(_config(model, shape)) as session:
+                session.compile().deploy()
+
+                def serve():
+                    for _ in range(rounds):
+                        for batch in batches:
+                            session.infer(batch)
+
+                threads = [threading.Thread(target=serve) for _ in range(threads_n)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                report = session.report()
+                records = session.requests
+        finally:
+            sys.setswitchinterval(interval)
+        served = threads_n * rounds * len(batches)
+        assert report.requests == len(records) == served
+        assert report.images == threads_n * rounds * sum(b.shape[0] for b in batches)
+        energy = sum(record.execution.energy_uj for record in records)
+        assert report.cost.per_request_energy_uj == energy / served
 
 
 class TestSyntheticRun:
@@ -298,7 +332,7 @@ class TestTeardownSafety:
     ):
         """A request failing mid-forward unpatches the model for everyone."""
         model, shape = tiny_cnn
-        config = _config(model, shape, executor="thread", workers=2, concurrency=2)
+        config = _config(model, shape, concurrency=2)
         with Session(config) as session:
             session.compile().deploy()
             driver = session._driver

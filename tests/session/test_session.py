@@ -196,8 +196,8 @@ class TestEquivalence:
             model, images, input_shape=input_shape, bits=4
         )
 
-    @pytest.mark.parametrize("executor", ["serial", "parallel", "thread"])
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("executor", ["serial", "parallel"])
+    @pytest.mark.parametrize("backend", ["reference", "batched"])
     def test_matrix_byte_identical(
         self, tiny_cnn, reference_logits, executor, backend
     ):
@@ -284,6 +284,54 @@ class TestReport:
         # Identical inputs: the mean per-request energy equals one request's.
         one = report.records[0].execution.energy_uj
         assert report.cost.per_request_energy_uj == pytest.approx(one)
+
+    def test_records_stay_bounded_and_report_covers_every_request(
+        self, tiny_cnn, images_rng
+    ):
+        """300 requests keep only the last ``RECORD_WINDOW`` records, and
+        ``report()`` equals the figures recomputed from every execution."""
+        from repro.cam.stats import CAMStats
+        from repro.perf.pipeline import pipeline_cost_from_execution
+        from repro.session.session import RECORD_WINDOW
+        from repro.telemetry import metrics as metrics_mod
+
+        _, input_shape = tiny_cnn
+        results = []
+        with make_session(tiny_cnn) as session:
+            session.compile().deploy()
+            for index in range(300):
+                images = images_rng.uniform(0, 1, (1 + index % 3,) + input_shape)
+                results.append(session.infer(images))
+            report = session.report()
+            registry = session.metrics_registry()
+            retained = session.requests
+        executions = [result.execution for result in results]
+        assert len(retained) == len(report.records) == RECORD_WINDOW < 300
+        assert all(
+            record.execution is execution
+            for record, execution in zip(retained, executions[-RECORD_WINDOW:])
+        )
+        assert report.requests == 300
+        assert report.images == sum(result.images for result in results)
+        assert report.cost.per_request_energy_uj == (
+            sum(execution.energy_uj for execution in executions) / 300
+        )
+        assert report.cost.per_request_latency_ms == (
+            sum(execution.latency_ms for execution in executions) / 300
+        )
+        assert report.request_wall_s == (
+            sum(execution.wall_time_s for execution in executions) / 300
+        )
+        assert report.pipeline == pipeline_cost_from_execution(
+            executions[-1], images=results[-1].images
+        )
+        total = CAMStats()
+        for execution in executions:
+            total = total.merge(execution.total_stats)
+        expected = metrics_mod.MetricsRegistry()
+        metrics_mod.record_cam_stats(expected, total)
+        flat = registry.flat()
+        assert expected.flat().items() <= flat.items()
 
     def test_amortization_spreads_deploy_cost(self, tiny_cnn, images_rng):
         model, input_shape = tiny_cnn
@@ -418,6 +466,16 @@ class TestErrorPaths:
             session.compile().deploy()
             with pytest.raises(SessionStateError, match="layers"):
                 session.infer(images_rng.uniform(0, 1, (1,) + input_shape))
+
+    def test_removed_backend_and_executor_names_rejected(self, tiny_cnn):
+        with pytest.raises(ConfigurationError, match="available: batched, reference"):
+            SessionConfig(backend="vectorized")
+        with make_session(tiny_cnn, executor="thread") as session:
+            session.compile()
+            with pytest.raises(
+                ConfigurationError, match="available: parallel, serial"
+            ):
+                session.deploy()
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):

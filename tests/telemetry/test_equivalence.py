@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.inference import engine
 from repro.session.session import Session
 
 
@@ -45,8 +46,8 @@ def _run(tiny_cnn, *, executor, backend, trace):
     return result.logits.tobytes(), stats, residency, events
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread", "parallel"])
-@pytest.mark.parametrize("backend", ["reference", "vectorized", "batched"])
+@pytest.mark.parametrize("executor", ["serial", "parallel"])
+@pytest.mark.parametrize("backend", ["reference", "batched"])
 def test_traced_run_is_byte_identical(tiny_cnn, executor, backend):
     baseline_logits, baseline_stats, baseline_residency, no_events = _run(
         tiny_cnn, executor=executor, backend=backend, trace=False
@@ -65,10 +66,12 @@ def test_traced_run_is_byte_identical(tiny_cnn, executor, backend):
     assert "device.layer" in names
 
 
-def test_process_executor_ships_worker_spans(tiny_cnn):
+def test_process_executor_ships_worker_spans(tiny_cnn, monkeypatch):
     """Spans recorded inside pool workers surface in the parent's tracer."""
+    # Waves never reach the executor: decline them so every tile is a task.
+    monkeypatch.setattr(engine, "execute_program_wave", lambda *a, **k: None)
     _, _, _, events = _run(
-        tiny_cnn, executor="parallel", backend="vectorized", trace=True
+        tiny_cnn, executor="parallel", backend="batched", trace=True
     )
     import os
 
@@ -92,8 +95,6 @@ def test_overlapping_requests_place_layers_on_ap_group_tracks(tiny_cnn):
     with Session(
         model=model,
         input_shape=input_shape,
-        executor="thread",
-        workers=2,
         concurrency=2,
         trace=True,
     ) as session:

@@ -75,12 +75,12 @@ class TestParser:
     def test_serve_flags(self):
         arguments = build_parser().parse_args(
             ["serve", "--model", "vgg9", "--width", "0.03125", "--requests", "3",
-             "--images", "1", "--executor", "thread", "--workers", "2"]
+             "--images", "1", "--executor", "parallel", "--workers", "2"]
         )
         assert arguments.requests == 3
         assert arguments.images == 1
         assert arguments.width == 0.03125
-        assert arguments.executor == "thread"
+        assert arguments.executor == "parallel"
 
     def test_cluster_defaults(self):
         arguments = build_parser().parse_args(["cluster"])
@@ -109,13 +109,13 @@ class TestParser:
     def test_infer_flags(self):
         arguments = build_parser().parse_args(
             ["infer", "--model", "resnet18", "--width", "0.0625", "--images", "2",
-             "--batch", "1", "--executor", "thread", "--workers", "2"]
+             "--batch", "1", "--executor", "parallel", "--workers", "2"]
         )
         assert arguments.model == "resnet18"
         assert arguments.width == 0.0625
         assert arguments.images == 2
         assert arguments.batch == 1
-        assert arguments.executor == "thread"
+        assert arguments.executor == "parallel"
         assert arguments.workers == 2
 
 
@@ -158,12 +158,12 @@ class TestCommands:
         assert "logits byte-identical to the NumPy reference" in output
         assert "cost model consistent" in output
 
-    def test_infer_command_batched_threads(self, capsys):
+    def test_infer_command_batched_parallel(self, capsys):
         assert main(["infer", "--model", "vgg9", "--width", "0.03125",
                      "--images", "2", "--batch", "1",
-                     "--executor", "thread", "--workers", "2"]) == 0
+                     "--executor", "parallel", "--workers", "2"]) == 0
         output = capsys.readouterr().out
-        assert "thread executor, 2 worker(s)" in output
+        assert "parallel executor, 2 worker(s)" in output
         assert "byte-identical" in output
 
     def test_serve_command_warm_steady_state(self, capsys):
@@ -254,7 +254,7 @@ def _apbench_phase_column(output: str):
     rows = []
     for line in output.splitlines():
         cells = line.split()
-        if cells and cells[0] in ("reference", "vectorized"):
+        if cells and cells[0] in ("reference", "batched"):
             rows.append((cells[0], cells[4]))
     return rows
 
@@ -265,7 +265,7 @@ class TestApbenchSeedReproducibility:
     event counts) run-to-run; a different seed must change the workload."""
 
     def _phases(self, capsys, seed):
-        assert main(["apbench", "--backend", "vectorized", "--rows", "32",
+        assert main(["apbench", "--backend", "batched", "--rows", "32",
                      "--instructions", "16", "--repeats", "1",
                      "--seed", str(seed)]) == 0
         return _apbench_phase_column(capsys.readouterr().out)
